@@ -23,6 +23,7 @@ from .checker import (
     check,
     compile_constraint,
     mark_source_incomplete,
+    violations_ntriples,
     violations_to_graph,
 )
 from .graph import Graph, GraphBuilder
@@ -79,5 +80,6 @@ __all__ = [
     "run_campaign",
     "serialize_ntriples",
     "summarize_counts",
+    "violations_ntriples",
     "violations_to_graph",
 ]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .catalog import Catalog, Constraint, IMPLEMENTED, Severity
 from .graph import Graph, GraphBuilder
+from .ntriples import canonical_lines
 from .query import (
     And,
     BudgetExceeded,
@@ -41,7 +42,16 @@ from .query import (
     plan,
     run_plan,
 )
-from .terms import BlankNode, Iri, Literal, RDF_TYPE, Term, XSD_INTEGER
+from .terms import (
+    BlankNode,
+    Iri,
+    Literal,
+    RDF_TYPE,
+    Term,
+    XSD_INTEGER,
+    plain_literal_text,
+    term_text,
+)
 
 SKOS_IN_SCHEME = Iri("http://www.w3.org/2004/02/skos/core#inScheme")
 QB = "http://purl.org/linked-data/cube#"
@@ -601,7 +611,10 @@ def mark_source_incomplete(outcomes: list[CheckOutcome], parts_missing: int) -> 
 
 def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     """Encode all violations as triples in the fixed reporting namespace,
-    one node per violation, one triple per populated field."""
+    one node per violation, one triple per populated field.
+
+    ``violations_ntriples`` writes the same triples without building the
+    graph; this is the reference it is tested against."""
     b = GraphBuilder()
     n = 0
     for outcome in outcomes:
@@ -617,3 +630,46 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
             b.add(node, REPORT_MESSAGE, Literal(v.message))
             b.add(node, REPORT_CONSTRAINT, Literal(v.constraint_id))
     return b.freeze(name="violations")
+
+
+def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
+    """``serialize_ntriples(violations_to_graph(outcomes))``, written
+    straight from the violation records: each distinct focus, path and
+    value term is rendered once, and no graph is built."""
+    root = f" {term_text(REPORT_ROOT)} "
+    path_p = f" {term_text(REPORT_PATH)} "
+    value_p = f" {term_text(REPORT_VALUE)} "
+    severity_p = f" {term_text(REPORT_SEVERITY)} "
+    message_p = f" {term_text(REPORT_MESSAGE)} "
+    constraint_p = f" {term_text(REPORT_CONSTRAINT)} "
+    terms: dict[Term, str] = {}
+    plains: dict[str, str] = {}
+
+    def text(term: Term) -> str:
+        t = terms.get(term)
+        if t is None:
+            t = terms[term] = term_text(term)
+        return t
+
+    def plain(lexical: str) -> str:
+        t = plains.get(lexical)
+        if t is None:
+            t = plains[lexical] = plain_literal_text(lexical)
+        return t
+
+    lines: list[str] = []
+    add = lines.append
+    n = 0
+    for outcome in outcomes:
+        for v in outcome.violations:
+            node = f"_:v{n}"
+            n += 1
+            add(f"{node}{root}{text(v.focus)} .")
+            if v.path is not None:
+                add(f"{node}{path_p}{text(v.path)} .")
+            if v.value is not None:
+                add(f"{node}{value_p}{text(v.value)} .")
+            add(f"{node}{severity_p}{plain(v.severity.json_name)} .")
+            add(f"{node}{message_p}{plain_literal_text(v.message)} .")
+            add(f"{node}{constraint_p}{plain(v.constraint_id)} .")
+    return canonical_lines(lines)

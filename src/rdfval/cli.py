@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .catalog import Catalog, Severity, lint_catalog, load_catalog
 from .checker import (
     DEFAULT_BUDGET,
@@ -26,12 +27,14 @@ from .checker import (
     TRUNCATED,
     VIOLATED,
     check,
-    violations_to_graph,
+    violations_ntriples,
 )
 from .graph import Graph, GraphBuilder
 from .graphio import load_graph
 from .harvest import load_sources, run_campaign
-from .ntriples import serialize_ntriples
+# Not called here: perfbench/layers.py wraps these two names on this module.
+from .checker import violations_to_graph  # noqa: F401
+from .ntriples import serialize_ntriples  # noqa: F401
 from .packs import PACKS, load_pack, pack_text
 from .report import (
     SourceOutcomes,
@@ -98,7 +101,7 @@ def _read_graphs(paths: tuple[str, ...]) -> Graph:
 
 
 @click.group()
-@click.version_option(package_name="rdfval")
+@click.version_option(version=__version__)
 def main() -> None:
     """Validate RDF data sets against constraint catalogs."""
 
@@ -157,7 +160,7 @@ def validate(data_paths, catalog_path, pack, limit, budget, fail_on, out_dir) ->
         (out / "outcomes.json").write_text(
             json.dumps(outcomes_document(column), indent=2) + "\n", encoding="utf-8"
         )
-        (out / "violations.nt").write_bytes(serialize_ntriples(violations_to_graph(outcomes)))
+        (out / "violations.nt").write_bytes(violations_ntriples(outcomes))
         for fmt in ("csv", "md"):
             (out / f"matrix.{fmt}").write_text(
                 render_matrix(catalog, [column], fmt), encoding="utf-8"

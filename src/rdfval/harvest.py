@@ -146,13 +146,46 @@ def _page_query(page_size: int, offset: int) -> str:
     )
 
 
-def _term_from_binding(obj) -> Term:
+class _EndpointBlanks:
+    """One harvest's blank nodes: each endpoint label maps to one node.
+
+    A label that is already a legal N-Triples label is kept; any other
+    (Virtuoso's ``nodeID://b0``) gets a fresh ``b<n>`` label that no other
+    label of the harvest uses.
+    """
+
+    __slots__ = ("_map", "_used", "_next")
+
+    def __init__(self) -> None:
+        self._map: dict[str, BlankNode] = {}
+        self._used: set[str] = set()
+        self._next = 0
+
+    def node(self, label: str) -> BlankNode:
+        node = self._map.get(label)
+        if node is not None:
+            return node
+        if label not in self._used:
+            try:
+                node = BlankNode(label)
+            except ValueError:
+                pass
+        if node is None:
+            while f"b{self._next}" in self._used:
+                self._next += 1
+            node = BlankNode(f"b{self._next}")
+        self._used.add(node.label)
+        self._map[label] = node
+        return node
+
+
+def _term_from_binding(obj, blanks: _EndpointBlanks) -> Term:
     kind = obj["type"]
     value = obj["value"]
     if kind == "uri":
         return Iri(value)
     if kind == "bnode":
-        return BlankNode(value)
+        return blanks.node(value)
     if kind in ("literal", "typed-literal"):
         lang = obj.get("xml:lang")
         if lang:
@@ -164,13 +197,13 @@ def _term_from_binding(obj) -> Term:
     raise ValueError(f"unknown term type {kind!r}")
 
 
-def _parse_rows(payload: bytes) -> list[tuple[Term, Iri, Term]]:
+def _parse_rows(payload: bytes, blanks: _EndpointBlanks) -> list[tuple[Term, Iri, Term]]:
     doc = json.loads(payload)
     rows: list[tuple[Term, Iri, Term]] = []
     for binding in doc["results"]["bindings"]:
-        s = _term_from_binding(binding["s"])
-        p = _term_from_binding(binding["p"])
-        o = _term_from_binding(binding["o"])
+        s = _term_from_binding(binding["s"], blanks)
+        p = _term_from_binding(binding["p"], blanks)
+        o = _term_from_binding(binding["o"], blanks)
         if isinstance(s, Literal) or not isinstance(p, Iri):
             raise ValueError("binding is not a well-formed triple")
         rows.append((s, p, o))
@@ -178,7 +211,7 @@ def _parse_rows(payload: bytes) -> list[tuple[Term, Iri, Term]]:
 
 
 def _fetch_page(
-    session, source: Source, offset: int, sleep
+    session, source: Source, offset: int, sleep, blanks: _EndpointBlanks
 ) -> list[tuple[Term, Iri, Term]]:
     query = _page_query(source.page_size, offset)
     headers = {"Accept": RESULTS_MEDIA_TYPE}
@@ -209,7 +242,7 @@ def _fetch_page(
             last_reason = f"HTTP {response.status_code}"
             continue
         try:
-            return _parse_rows(response.content)
+            return _parse_rows(response.content, blanks)
         except (KeyError, TypeError, ValueError) as exc:
             last_reason = f"malformed result set: {exc}"
             continue
@@ -226,12 +259,15 @@ def harvest(source: Source, *, session=None, sleep=time.sleep) -> HarvestResult:
     if owns_session:
         session = requests.Session()
     builder = GraphBuilder()
+    # Results scope blank labels per result set; one scope across the
+    # pages keeps a label that recurs on a later page the same node.
+    blanks = _EndpointBlanks()
     pages = 0
     offset = 0
     try:
         while True:
             try:
-                rows = _fetch_page(session, source, offset, sleep)
+                rows = _fetch_page(session, source, offset, sleep, blanks)
             except _PageFailure as exc:
                 status = UNAVAILABLE if pages == 0 else PARTIAL
                 return HarvestResult(

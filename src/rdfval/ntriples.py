@@ -181,9 +181,15 @@ def _make_iri(text: str, lineno: int, start: int) -> Iri:
         raise ParseError(lineno, start + 1, str(exc)) from None
 
 
+def canonical_lines(lines: Iterable[str]) -> bytes:
+    """Canonical N-Triples bytes from triple lines without newlines:
+    unique lines, sorted by code point (which is UTF-8 byte order)."""
+    unique = sorted(set(lines))
+    if not unique:
+        return b""
+    return ("\n".join(unique) + "\n").encode("utf-8")
+
+
 def serialize_ntriples(g: Graph | Iterable[Triple]) -> bytes:
     """Canonical N-Triples bytes: sorted unique lines, one triple each."""
-    lines = sorted(triple_text(t) for t in g)
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return canonical_lines(triple_text(t) for t in g)

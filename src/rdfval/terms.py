@@ -124,7 +124,12 @@ _ESCAPES = {
 }
 
 
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f\x7f"\\]')
+
+
 def _escape_literal(text: str) -> str:
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
     out = []
     for ch in text:
         esc = _ESCAPES.get(ch)
@@ -135,6 +140,11 @@ def _escape_literal(text: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def plain_literal_text(lexical: str) -> str:
+    """Canonical N-Triples rendering of a plain (xsd:string) literal."""
+    return f'"{_escape_literal(lexical)}"'
 
 
 def term_text(term: Term) -> str:
@@ -148,7 +158,7 @@ def term_text(term: Term) -> str:
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     if isinstance(term, Literal):
-        body = f'"{_escape_literal(term.lexical)}"'
+        body = plain_literal_text(term.lexical)
         if term.language is not None:
             return f"{body}@{term.language}"
         if term.datatype == XSD_STRING:

@@ -1,5 +1,9 @@
 """Constraint compilation and outcome production on hand-built graphs."""
+import random
+
 import pytest
+
+from oracles import FAMILY_ORACLES, random_family_params, random_instance_graph
 
 from rdfval.catalog import (
     Catalog,
@@ -10,6 +14,7 @@ from rdfval.catalog import (
 )
 from rdfval.catalog import Constraint
 from rdfval.checker import (
+    CheckOutcome,
     CompileError,
     ENGINE_FAILURE,
     NOT_IMPLEMENTED_STATUS,
@@ -17,13 +22,16 @@ from rdfval.checker import (
     SOURCE_INCOMPLETE,
     TRUNCATED,
     VIOLATED,
+    Violation,
     check,
     compile_constraint,
     mark_source_incomplete,
+    violations_ntriples,
     violations_to_graph,
 )
 from rdfval.graph import GraphBuilder
 from rdfval.ntriples import serialize_ntriples
+from rdfval.packs import FIXTURES, load_fixture, load_pack
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER
 
 EX = "urn:ex:"
@@ -317,3 +325,79 @@ def test_unlimited_and_unbudgeted_check():
     outcome = run_one(g, c, limit=None, budget=None)
     assert outcome.status == VIOLATED
     assert outcome.count == 50
+
+
+# ---------------------------------------------------------------------------
+# violations_ntriples against the graph-building reference
+
+
+def reference_ntriples(outcomes):
+    return serialize_ntriples(violations_to_graph(outcomes))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_violations_ntriples_matches_reference_on_fixtures(name):
+    outcomes = check(load_fixture(name), load_pack(FIXTURES[name]))
+    assert violations_ntriples(outcomes) == reference_ntriples(outcomes)
+
+
+def test_violations_ntriples_matches_reference_on_random_graphs():
+    family_ids = sorted(FAMILY_ORACLES)
+    severities = list(Severity)
+    written = 0
+    for case in range(300):
+        rng = random.Random(30_000 + case)
+        g = random_instance_graph(rng)
+        catalog = Catalog(
+            {},
+            tuple(
+                constraint(
+                    fid,
+                    random_family_params(rng, fid),
+                    cid=f"{fid}-{i}",
+                    message="{focus} | {path} | {value}",
+                    severity=rng.choice(severities),
+                )
+                for i, fid in enumerate(family_ids)
+            ),
+        )
+        outcomes = check(g, catalog, limit=rng.choice((None, 3)), budget=None)
+        got = violations_ntriples(outcomes)
+        assert got == reference_ntriples(outcomes), case
+        written += bool(got)
+    assert written > 200
+
+
+def test_violations_ntriples_escapes_hostile_messages():
+    messages = [
+        'quote " inside',
+        "back\\slash",
+        "line\nbreak and \r return",
+        "unit separator \x1f",
+        "delete \x7f",
+        "C1 control \x80",
+        "astral 🙂 𝔘",
+        "",
+    ]
+    focuses = [iri("a"), BlankNode("b0"), BlankNode("v0")]
+    values = [None, Literal('say "hi"\n', language="en"), Literal("\x01", XSD_INTEGER), iri("o")]
+    violations = tuple(
+        Violation(f"T-{i % 3}", Severity(1 + i % 3), focuses[i % 3],
+                  iri("p") if i % 2 else None, values[i % 4], message)
+        for i, message in enumerate(messages)
+    )
+    outcomes = [
+        CheckOutcome("T-0", VIOLATED, violations[:4], count=4),
+        CheckOutcome("T-1", OK),
+        CheckOutcome("T-2", TRUNCATED, violations[4:], count=4, limit=4),
+    ]
+    got = violations_ntriples(outcomes)
+    assert got == reference_ntriples(outcomes)
+    assert b'\\"' in got and b"\\u001F" in got and b"\\u007F" in got
+    assert "\x80".encode("utf-8") in got and "🙂".encode("utf-8") in got
+
+
+def test_violations_ntriples_of_nothing_is_empty():
+    assert violations_ntriples([]) == b""
+    assert violations_ntriples([CheckOutcome("T-1", OK)]) == b""
+    assert reference_ntriples([]) == b""

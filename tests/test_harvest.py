@@ -237,6 +237,63 @@ def test_long_urls_switch_to_post():
     assert methods == {"POST"}
 
 
+def virtuoso_labels(monkeypatch, rename=lambda label: f"nodeID://{label}"):
+    plain = mockserver.term_binding
+
+    def binding(term):
+        if isinstance(term, BlankNode):
+            return {"type": "bnode", "value": rename(term.label)}
+        return plain(term)
+
+    monkeypatch.setattr(mockserver, "term_binding", binding)
+
+
+def test_virtuoso_blank_labels_keep_one_node_across_pages(monkeypatch):
+    virtuoso_labels(monkeypatch)
+    b = GraphBuilder()
+    for i in range(4):
+        b.add(iri(f"s{i}"), iri("link"), BlankNode(f"n{i % 2}"))
+    for i in range(2):
+        b.add(BlankNode(f"n{i}"), iri("label"), Literal(f"node {i}"))
+    g = b.freeze()
+    with mockserver.MockEndpoint(g) as ep:
+        result = harvest(source(ep.url, page_size=4), sleep=no_sleep)
+    # Page one holds the links, page two the blank subjects.
+    assert result.status == COMPLETE
+    assert result.pages_fetched == 2
+    assert len(result.graph) == len(g)
+    linked = {t.object for t in result.graph.match(None, iri("link"))}
+    labelled = {t.subject: t.object for t in result.graph.match(None, iri("label"))}
+    assert len(linked) == 2 and set(labelled) == linked
+    for i in range(2):
+        (node,) = {t.object for t in result.graph.match(iri(f"s{i}"), iri("link"))}
+        assert labelled[node] == Literal(f"node {i}")
+
+
+def test_relabelled_blank_nodes_never_merge_with_kept_labels(monkeypatch):
+    # "nodeID://b0" is seen first and takes b0; the legal label "b0" must
+    # then become another node rather than merge with it.
+    virtuoso_labels(monkeypatch, lambda label: "nodeID://b0" if label == "a" else label)
+    b = GraphBuilder()
+    b.add(BlankNode("a"), iri("p"), iri("o1"))
+    b.add(BlankNode("b0"), iri("p"), iri("o2"))
+    g = b.freeze()
+    with mockserver.MockEndpoint(g) as ep:
+        result = harvest(source(ep.url), sleep=no_sleep)
+    assert result.status == COMPLETE
+    assert len({t.subject for t in result.graph}) == 2
+
+
+def test_campaign_completes_a_virtuoso_source(tmp_path, monkeypatch):
+    virtuoso_labels(monkeypatch)
+    g = sample_graph()
+    with mockserver.MockEndpoint(g) as ep:
+        (run,) = run_campaign([source(ep.url, page_size=7)], tmp_path, **campaign_kw())
+    assert run.status == COMPLETE
+    assert run.triples == len(g)
+    assert len(read_data(tmp_path / "src" / "data.nt.gz")) == len(g)
+
+
 def test_profile_counts_per_class():
     b = GraphBuilder()
     b.add(iri("a"), RDF_TYPE, iri("C"))

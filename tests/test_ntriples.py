@@ -102,3 +102,20 @@ def test_round_trip_is_idempotent():
     once = serialize_ntriples(g)
     again = serialize_ntriples(parse_ntriples(once))
     assert once == again
+
+
+def test_triple_serialization_drops_duplicate_lines():
+    t = Triple(Iri("urn:ex:s"), Iri("urn:ex:p"), Literal("x"))
+    assert serialize_ntriples([t, t]) == b'<urn:ex:s> <urn:ex:p> "x" .\n'
+
+
+@pytest.mark.parametrize("start", [0x00, 0x20, 0x5B, 0x7E, 0x80, 0x10FF00])
+def test_every_literal_character_survives_a_round_trip(start):
+    s, p = Iri("urn:ex:s"), Iri("urn:ex:p")
+    texts = [chr(c) + "x" for c in range(start, start + 0x40) if not 0xD800 <= c < 0xE000]
+    triples = [Triple(s, p, Literal(t)) for t in texts]
+    data = serialize_ntriples(triples)
+    raw = data.decode("utf-8").replace("\n", "")
+    assert not any(chr(c) in raw for c in [*range(0x20), 0x7F])
+    back = {t.object.lexical for t in parse_ntriples(data)}
+    assert back == set(texts)
