@@ -64,17 +64,6 @@ NOT_IMPLEMENTED = "not-implemented"
 
 VOCABULARIES = ("DDI-RDF", "QB", "SKOS", "user-defined")
 
-PARAM_KINDS = (
-    "class",
-    "property",
-    "value-set",
-    "number",
-    "regex",
-    "datatype",
-    "language-range",
-)
-
-
 @dataclass(frozen=True)
 class ParamSlot:
     name: str
@@ -392,7 +381,8 @@ class Catalog:
         return tuple(c for c in self.constraints if c.status == IMPLEMENTED)
 
 
-_PLACEHOLDER_RE = re.compile(r"\{([^{}]*)\}")
+# The `{name}` syntax of constraint messages.
+PLACEHOLDER_RE = re.compile(r"\{([^{}]*)\}")
 _IRI_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
@@ -540,7 +530,7 @@ def _load_constraint(
     allowed_placeholders = {"focus", "path", "value"}
     if family is not None:
         allowed_placeholders.update(s.name for s in family.params)
-    for ph in _PLACEHOLDER_RE.findall(message):
+    for ph in PLACEHOLDER_RE.findall(message):
         if ph not in allowed_placeholders:
             local.append(f"unknown message placeholder {{{ph}}}")
 

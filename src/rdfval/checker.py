@@ -8,11 +8,10 @@ never raised out of check().
 """
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, replace
 
-from .catalog import Catalog, Constraint, IMPLEMENTED, Severity
+from .catalog import PLACEHOLDER_RE, Catalog, Constraint, IMPLEMENTED, Severity
 from .graph import Graph, GraphBuilder
 from .ntriples import canonical_lines
 from .query import (
@@ -121,11 +120,6 @@ _N = Variable("n")
 _NOT = Constant(FALSE)
 
 
-def _with_meta(pattern: Pattern, focus, path=None, value=None) -> Plan:
-    built = plan(pattern)
-    return Plan(built.pipelines, focus, path, value)
-
-
 def _union(patterns: list[Pattern], focus, path=None, value=None) -> Plan:
     pipelines: list[Pipeline] = []
     for p in patterns:
@@ -137,10 +131,15 @@ def _int_lit(n: int) -> Constant:
     return Constant(Literal(str(n), XSD_INTEGER))
 
 
+def _scope(params) -> list[Pattern]:
+    """The focus's class membership when the optional `class` is given."""
+    return [TP(_X, RDF_TYPE, params["class"])] if "class" in params else []
+
+
 def _existential(params) -> Plan:
     c, p = params["class"], params["property"]
     pattern = And([TP(_X, RDF_TYPE, c), NotExists(TP(_X, p, _V))])
-    return _with_meta(pattern, _X, p)
+    return _union([pattern], _X, p)
 
 
 def _conditional(params) -> Plan:
@@ -149,7 +148,7 @@ def _conditional(params) -> Plan:
     pattern = And(
         [TP(_X, RDF_TYPE, c), TP(_X, if_p, _W), NotExists(TP(_X, then_p, _V))]
     )
-    return _with_meta(pattern, _X, then_p)
+    return _union([pattern], _X, then_p)
 
 
 def _cardinality(params, mode: str, qualified: bool) -> Plan:
@@ -157,9 +156,7 @@ def _cardinality(params, mode: str, qualified: bool) -> Plan:
     value_tps = [TP(_X, p, _V)]
     if qualified:
         value_tps.append(TP(_V, RDF_TYPE, params["value-class"]))
-    counted = And(
-        [TP(_X, RDF_TYPE, c), *value_tps, GroupCount([_X], _V, _N)]
-    )
+    counted = And([TP(_X, RDF_TYPE, c), *value_tps, GroupCount([_X], _N)])
     zero_case = And([TP(_X, RDF_TYPE, c), NotExists(And(value_tps))])
 
     patterns: list[Pattern] = []
@@ -180,13 +177,13 @@ def _cardinality(params, mode: str, qualified: bool) -> Plan:
 def _universal(params) -> Plan:
     c, p, vc = params["class"], params["property"], params["value-class"]
     pattern = And([TP(_X, RDF_TYPE, c), TP(_X, p, _V), NotExists(TP(_V, RDF_TYPE, vc))])
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _membership(params) -> Plan:
     p, scheme = params["property"], params["scheme"]
     pattern = And([TP(_X, p, _V), NotExists(TP(_V, SKOS_IN_SCHEME, scheme))])
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _valid_datatype(params) -> Plan:
@@ -194,25 +191,8 @@ def _valid_datatype(params) -> Plan:
     invalid = Filter(Compare("=", IsValidForDatatype(_V, dt), _NOT))
     p = params.get("property")
     if p is not None:
-        return _with_meta(And([TP(_X, p, _V), invalid]), _X, p, _V)
-    return _with_meta(And([TP(_X, _P, _V), invalid]), _X, _P, _V)
-
-
-def _literal_range(params) -> Plan:
-    p = params["property"]
-    prefix: list[Pattern] = []
-    if "class" in params:
-        prefix.append(TP(_X, RDF_TYPE, params["class"]))
-    patterns: list[Pattern] = []
-    if "min-inclusive" in params:
-        patterns.append(
-            And([*prefix, TP(_X, p, _V), Filter(Compare("<", Var(_V), _int_lit(params["min-inclusive"])))])
-        )
-    if "max-inclusive" in params:
-        patterns.append(
-            And([*prefix, TP(_X, p, _V), Filter(Compare(">", Var(_V), _int_lit(params["max-inclusive"])))])
-        )
-    return _union(patterns, _X, p, _V)
+        return _union([And([TP(_X, p, _V), invalid])], _X, p, _V)
+    return _union([And([TP(_X, _P, _V), invalid])], _X, _P, _V)
 
 
 def _value_comparison(params) -> Plan:
@@ -225,17 +205,17 @@ def _value_comparison(params) -> Plan:
             Filter(Compare(">", Var(_V), Var(_W))),
         ]
     )
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _facets(params) -> Plan:
-    p, dt = params["property"], params["datatype"]
-    prefix: list[Pattern] = []
-    if "class" in params:
-        prefix.append(TP(_X, RDF_TYPE, params["class"]))
-    patterns: list[Pattern] = [
-        And([*prefix, TP(_X, p, _V), Filter(Compare("=", IsValidForDatatype(_V, dt), _NOT))])
-    ]
+    """DATA-PROPERTY-FACETS, and LITERAL-RANGE, which has no datatype slot."""
+    p = params["property"]
+    prefix = _scope(params)
+    patterns: list[Pattern] = []
+    if "datatype" in params:
+        invalid = Compare("=", IsValidForDatatype(_V, params["datatype"]), _NOT)
+        patterns.append(And([*prefix, TP(_X, p, _V), Filter(invalid)]))
     if "min-inclusive" in params:
         patterns.append(
             And([*prefix, TP(_X, p, _V), Filter(Compare("<", Var(_V), _int_lit(params["min-inclusive"])))])
@@ -249,19 +229,16 @@ def _facets(params) -> Plan:
 
 def _pattern_matching(params, iri_side: bool) -> Plan:
     p, rx = params["property"], params["pattern"]
-    prefix: list[Pattern] = []
-    if "class" in params:
-        prefix.append(TP(_X, RDF_TYPE, params["class"]))
     kind_guard = Filter(IsIri(_V)) if iri_side else Filter(IsLiteral(_V))
     pattern = And(
         [
-            *prefix,
+            *_scope(params),
             TP(_X, p, _V),
             kind_guard,
             Filter(Compare("=", Regex(_V, rx), _NOT)),
         ]
     )
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _inverse_functional(params) -> Plan:
@@ -269,25 +246,19 @@ def _inverse_functional(params) -> Plan:
     pattern = And(
         [TP(_X, p, _V), TP(_Y, p, _V), Filter(Compare("!=", Var(_X), Var(_Y)))]
     )
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _domain(params) -> Plan:
     p, c = params["property"], params["class"]
     pattern = And([TP(_X, p, _V), NotExists(TP(_X, RDF_TYPE, c))])
-    return _with_meta(pattern, _X, p)
+    return _union([pattern], _X, p)
 
 
 def _range(params) -> Plan:
     p, c = params["property"], params["class"]
     pattern = And([TP(_X, p, _V), NotExists(TP(_V, RDF_TYPE, c))])
-    return _with_meta(pattern, _X, p, _V)
-
-
-def _class_specific_range(params) -> Plan:
-    c, p, vc = params["class"], params["property"], params["value-class"]
-    pattern = And([TP(_X, RDF_TYPE, c), TP(_X, p, _V), NotExists(TP(_V, RDF_TYPE, vc))])
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _valid_properties(params) -> Plan:
@@ -296,13 +267,13 @@ def _valid_properties(params) -> Plan:
         raise ValueError("every entry of 'properties' must be an IRI")
     filters = [Filter(Compare("!=", Var(_P), Constant(a))) for a in allowed]
     pattern = And([TP(_X, RDF_TYPE, c), TP(_X, _P, _V), *filters])
-    return _with_meta(pattern, _X, _P, _V)
+    return _union([pattern], _X, _P, _V)
 
 
 def _disjoint(params) -> Plan:
     c1, c2 = params["class"], params["other-class"]
     pattern = And([TP(_X, RDF_TYPE, c1), TP(_X, RDF_TYPE, c2)])
-    return _with_meta(pattern, _X, RDF_TYPE, c2)
+    return _union([pattern], _X, RDF_TYPE, c2)
 
 
 def _language_cardinality(params) -> Plan:
@@ -317,7 +288,7 @@ def _language_cardinality(params) -> Plan:
                 Filter(SameLanguage(_V, _V2)),
             ]
         )
-        return _with_meta(pattern, _X, p)
+        return _union([pattern], _X, p)
     if "required-language" in params:
         rng = params["required-language"]
         pattern = And(
@@ -326,7 +297,7 @@ def _language_cardinality(params) -> Plan:
                 NotExists(And([TP(_X, p, _V), Filter(LangMatches(_V, rng))])),
             ]
         )
-        return _with_meta(pattern, _X, p)
+        return _union([pattern], _X, p)
     rng = params["value-language"]
     pattern = And(
         [
@@ -336,7 +307,7 @@ def _language_cardinality(params) -> Plan:
             Filter(Compare("=", LangMatches(_V, rng), _NOT)),
         ]
     )
-    return _with_meta(pattern, _X, p, _V)
+    return _union([pattern], _X, p, _V)
 
 
 def _acyclicity(params) -> Plan:
@@ -348,9 +319,7 @@ def _acyclicity(params) -> Plan:
 
 def _allowed_values(params) -> Plan:
     p, allowed = params["property"], params["values"]
-    prefix: list[Pattern] = []
-    if "class" in params:
-        prefix.append(TP(_X, RDF_TYPE, params["class"]))
+    prefix = _scope(params)
     iris = [a for a in allowed if isinstance(a, Iri)]
     lits = [a for a in allowed if isinstance(a, Literal)]
     patterns: list[Pattern] = [
@@ -401,7 +370,7 @@ def _dimension_completeness(params) -> Plan:
             NotExists(TP(o, d, z)),
         ]
     )
-    return _with_meta(pattern, o, d)
+    return _union([pattern], o, d)
 
 
 _COMPILERS = {
@@ -416,7 +385,7 @@ _COMPILERS = {
     "UNIVERSAL-QUANTIFICATION": _universal,
     "MEMBERSHIP-IN-CONTROLLED-VOCABULARY": _membership,
     "VALUE-IS-VALID-FOR-DATATYPE": _valid_datatype,
-    "LITERAL-RANGE": _literal_range,
+    "LITERAL-RANGE": _facets,
     "LITERAL-VALUE-COMPARISON": _value_comparison,
     "DATA-PROPERTY-FACETS": _facets,
     "LITERAL-PATTERN-MATCHING": lambda p: _pattern_matching(p, False),
@@ -424,7 +393,7 @@ _COMPILERS = {
     "INVERSE-FUNCTIONAL-PROPERTY": _inverse_functional,
     "PROPERTY-DOMAIN": _domain,
     "PROPERTY-RANGE": _range,
-    "CLASS-SPECIFIC-PROPERTY-RANGE": _class_specific_range,
+    "CLASS-SPECIFIC-PROPERTY-RANGE": _universal,
     "CONTEXT-SPECIFIC-VALID-PROPERTIES": _valid_properties,
     "DISJOINT-CLASSES": _disjoint,
     "LANGUAGE-TAG-CARDINALITY": _language_cardinality,
@@ -434,13 +403,12 @@ _COMPILERS = {
 }
 
 
-def compile_constraint(c: Constraint, prefixes=None) -> Plan:
+def compile_constraint(c: Constraint) -> Plan:
     """Build the violation plan for an implemented constraint.
 
     The plan's bindings are exactly the violating (focus, path, value)
     tuples of the family's semantics; deterministic for a given constraint.
     """
-    del prefixes  # parameters are fully resolved at catalog load time
     if c.status != IMPLEMENTED:
         raise CompileError(c.id, "constraint is not implemented")
     compiler = _COMPILERS.get(c.family.family_id)
@@ -470,9 +438,6 @@ def _display(term: Term | None) -> str:
     return f"_:{term.label}"
 
 
-_PLACEHOLDER = re.compile(r"\{([^{}]*)\}")
-
-
 def _render_message(c: Constraint, focus: Term, path: Iri | None, value: Term | None) -> str:
     substitutions: dict[str, str] = {
         "focus": _display(focus),
@@ -486,7 +451,7 @@ def _render_message(c: Constraint, focus: Term, path: Iri | None, value: Term | 
             substitutions[name] = ", ".join(_display(t) for t in pvalue)
         else:
             substitutions[name] = str(pvalue)
-    return _PLACEHOLDER.sub(
+    return PLACEHOLDER_RE.sub(
         lambda m: substitutions.get(m.group(1), m.group(0)), c.message
     )
 

@@ -31,7 +31,7 @@ from .checker import (
 )
 from .graph import Graph, GraphBuilder
 from .graphio import load_graph
-from .harvest import load_sources, run_campaign
+from .harvest import load_sources, run_campaign, write_atomic
 # Not called here: perfbench/layers.py wraps these two names on this module.
 from .checker import violations_to_graph  # noqa: F401
 from .ntriples import serialize_ntriples  # noqa: F401
@@ -157,14 +157,12 @@ def validate(data_paths, catalog_path, pack, limit, budget, fail_on, out_dir) ->
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         column = SourceOutcomes(Path(data_paths[0]).stem, pack_name, "local", tuple(outcomes))
-        (out / "outcomes.json").write_text(
-            json.dumps(outcomes_document(column), indent=2) + "\n", encoding="utf-8"
+        write_atomic(
+            out / "outcomes.json", json.dumps(outcomes_document(column), indent=2) + "\n"
         )
-        (out / "violations.nt").write_bytes(violations_ntriples(outcomes))
+        write_atomic(out / "violations.nt", violations_ntriples(outcomes))
         for fmt in ("csv", "md"):
-            (out / f"matrix.{fmt}").write_text(
-                render_matrix(catalog, [column], fmt), encoding="utf-8"
-            )
+            write_atomic(out / f"matrix.{fmt}", render_matrix(catalog, [column], fmt))
         click.echo(f"report written to {out}")
 
     threshold = Severity.parse(fail_on)
@@ -242,7 +240,7 @@ def campaign(sources_path, out_dir, page_size, timeout, concurrency, limit, budg
         log=click.echo,
     )
     for name, content in sorted(render_campaign(out_dir).items()):
-        (Path(out_dir) / name).write_text(content, encoding="utf-8")
+        write_atomic(Path(out_dir) / name, content)
     click.echo(f"reports written to {out_dir}")
 
 
@@ -258,7 +256,7 @@ def campaign(sources_path, out_dir, page_size, timeout, concurrency, limit, budg
 def report(campaign_dir) -> None:
     """Rebuild the report files for an existing campaign directory."""
     for name, content in sorted(render_campaign(campaign_dir).items()):
-        (Path(campaign_dir) / name).write_text(content, encoding="utf-8")
+        write_atomic(Path(campaign_dir) / name, content)
         click.echo(name)
 
 

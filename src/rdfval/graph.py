@@ -8,7 +8,7 @@ are immutable once built; builders are single-writer.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .terms import Iri, Literal, Term, Triple
 
@@ -20,8 +20,8 @@ _MIN_BITS = 21
 class Graph:
     """A frozen set of triples with SPO/POS/OSP indexes.
 
-    Build via ``GraphBuilder`` or ``Graph.from_triples``. All query
-    operations are read-only and safe to share across threads.
+    Build via ``GraphBuilder``. All query operations are read-only and
+    safe to share across threads.
     """
 
     __slots__ = ("name", "_terms", "_ids", "_bits", "_mask", "_spo", "_pos", "_osp")
@@ -52,13 +52,6 @@ class Graph:
         self._pos = sorted((((v >> bits) & self._mask) << two) | ((v & self._mask) << bits) | (v >> two) for v in spo)
         self._osp = sorted(((v & self._mask) << two) | ((v >> two) << bits) | ((v >> bits) & self._mask) for v in spo)
 
-    @classmethod
-    def from_triples(cls, triples: Iterable[Triple], name: str | None = None) -> "Graph":
-        b = GraphBuilder()
-        for t in triples:
-            b.add_triple(t)
-        return b.freeze(name=name)
-
     # ---- size and iteration -------------------------------------------------
 
     def __len__(self) -> int:
@@ -75,13 +68,10 @@ class Graph:
             return NotImplemented
         if len(self) != len(other):
             return False
-        return set(self.triples()) == set(other.triples())
+        return set(self) == set(other)
 
     def __hash__(self) -> int:  # pragma: no cover - graphs are not dict keys
         raise TypeError("graphs are unhashable")
-
-    def triples(self) -> list[Triple]:
-        return list(self)
 
     # ---- term interning -----------------------------------------------------
 
@@ -91,9 +81,6 @@ class Graph:
 
     def term(self, term_id: int) -> Term:
         return self._terms[term_id]
-
-    def term_count(self) -> int:
-        return len(self._terms)
 
     # ---- matching -----------------------------------------------------------
 
@@ -208,9 +195,6 @@ class Graph:
             return len(self._range(self._osp, o, None, None))
         return len(self._spo)
 
-    def contains(self, s: Term, p: Term, o: Term) -> bool:
-        return self.count(s, p, o) > 0
-
 
 class GraphBuilder:
     """Accumulates triples, then freezes them into a Graph.
@@ -242,9 +226,6 @@ class GraphBuilder:
         if not isinstance(p, Iri):
             raise ValueError("triple predicate must be an IRI")
         self._tuples.append((self._intern(s), self._intern(p), self._intern(o)))
-
-    def add_triple(self, t: Triple) -> None:
-        self.add(t.subject, t.predicate, t.object)
 
     def __len__(self) -> int:
         return len(self._tuples)

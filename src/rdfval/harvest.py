@@ -7,7 +7,9 @@ came back shorter than the page size.
 from __future__ import annotations
 
 import gzip
+import io
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -133,6 +135,7 @@ class HarvestResult:
     graph: Graph
     pages_fetched: int
     reason: str | None = None
+    blank_nodes: int = 0
 
 
 class _PageFailure(Exception):
@@ -177,6 +180,10 @@ class _EndpointBlanks:
         self._used.add(node.label)
         self._map[label] = node
         return node
+
+    def __len__(self) -> int:
+        """Distinct endpoint labels seen so far."""
+        return len(self._map)
 
 
 def _term_from_binding(obj, blanks: _EndpointBlanks) -> Term:
@@ -271,14 +278,16 @@ def harvest(source: Source, *, session=None, sleep=time.sleep) -> HarvestResult:
             except _PageFailure as exc:
                 status = UNAVAILABLE if pages == 0 else PARTIAL
                 return HarvestResult(
-                    source, status, builder.freeze(name=source.abbreviation), pages, str(exc)
+                    source, status, builder.freeze(name=source.abbreviation), pages, str(exc),
+                    blank_nodes=len(blanks),
                 )
             pages += 1
             for s, p, o in rows:
                 builder.add(s, p, o)
             if len(rows) < source.page_size:
                 return HarvestResult(
-                    source, COMPLETE, builder.freeze(name=source.abbreviation), pages
+                    source, COMPLETE, builder.freeze(name=source.abbreviation), pages,
+                    blank_nodes=len(blanks),
                 )
             offset += source.page_size
     finally:
@@ -306,11 +315,38 @@ class SourceRun:
     from_cache: bool = False
 
 
+def write_atomic(path: Path, data: bytes | str) -> None:
+    """Replace the file at ``path`` with ``data`` (text is written as
+    UTF-8) through a temporary file in the same directory, so a crash
+    leaves either the old file or the new one, never a torn one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_json(path: Path):
+    """A stored JSON document, or None when it is missing, unreadable or
+    torn."""
+    try:
+        return json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+
+
 def _write_data(path: Path, graph: Graph) -> None:
-    with path.open("wb") as f:
-        # Fixed mtime keeps re-harvests byte-identical for identical data.
-        with gzip.GzipFile(fileobj=f, mode="wb", mtime=0) as z:
-            z.write(serialize_ntriples(graph))
+    buf = io.BytesIO()
+    # The header names the real file, not the temporary one; a fixed mtime
+    # keeps re-harvests byte-identical for identical data.
+    with gzip.GzipFile(filename=str(path), mode="wb", fileobj=buf, mtime=0) as z:
+        z.write(serialize_ntriples(graph))
+    write_atomic(path, buf.getvalue())
 
 
 def read_data(path: Path) -> Graph:
@@ -329,6 +365,7 @@ def _profile_document(source: Source, result: HarvestResult, classes) -> dict:
         "pages-fetched": result.pages_fetched,
         "reason": result.reason,
         "triples": len(result.graph),
+        "blank-nodes": result.blank_nodes,
         "classes": {cls.text: n for cls, n in zip(classes, counts)},
     }
 
@@ -349,11 +386,12 @@ def run_campaign(
     """Harvest, check, and persist every source under ``out_dir``.
 
     Each source gets ``<abbr>/data.nt.gz``, ``profile.json`` and (when
-    checking) ``outcomes.json``.  A source already stored as complete is
-    not fetched again; if only its outcomes are missing they are computed
-    from the stored data.  Partial harvests keep their outcomes but flag
-    every result as source-incomplete.  ``do_check=False`` harvests and
-    profiles only.
+    checking) ``outcomes.json``, each replaced atomically.  A source already
+    stored as complete is not fetched again; if only its outcomes are
+    missing they are computed from the stored data.  An unreadable or
+    malformed profile or outcomes file counts as missing.  Partial harvests
+    keep their outcomes but flag every result as source-incomplete.
+    ``do_check=False`` harvests and profiles only.
     """
     sources = list(sources)
     catalogs = dict(catalogs or {})
@@ -381,9 +419,7 @@ def run_campaign(
         if status == PARTIAL:
             outcomes = tuple(mark_source_incomplete(outcomes, parts_missing=1))
         column = SourceOutcomes(source.abbreviation, source.vocabulary, status, outcomes)
-        path.write_text(
-            json.dumps(outcomes_document(column), indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(path, json.dumps(outcomes_document(column), indent=2) + "\n")
         return outcomes
 
     def run_one(source: Source) -> SourceRun:
@@ -392,11 +428,14 @@ def run_campaign(
         profile_path = sdir / "profile.json"
         outcomes_path = sdir / "outcomes.json"
 
-        prof = None
-        if data_path.exists() and profile_path.exists():
-            stored = json.loads(profile_path.read_text(encoding="utf-8"))
-            if stored.get("status") == COMPLETE:
-                prof = stored
+        prof = _read_json(profile_path) if data_path.exists() else None
+        if not (
+            isinstance(prof, dict)
+            and prof.get("status") == COMPLETE
+            and isinstance(prof.get("pages-fetched"), int)
+            and isinstance(prof.get("triples"), int)
+        ):
+            prof = None
         if prof is not None:
             if not do_check:
                 say(f"{source.abbreviation}: already complete, skipped")
@@ -404,10 +443,11 @@ def run_campaign(
                     source, COMPLETE, prof["pages-fetched"], prof["triples"], None, (),
                     from_cache=True,
                 )
-            if outcomes_path.exists():
-                column = parse_outcomes_document(
-                    json.loads(outcomes_path.read_text(encoding="utf-8"))
-                )
+            try:
+                column = parse_outcomes_document(_read_json(outcomes_path))
+            except ValueError:
+                column = None
+            if column is not None:
                 say(f"{source.abbreviation}: already complete, skipped")
                 return SourceRun(
                     source, COMPLETE, prof["pages-fetched"], prof["triples"], None,
@@ -427,9 +467,9 @@ def run_campaign(
         sdir.mkdir(parents=True, exist_ok=True)
         _write_data(data_path, result.graph)
         classes = PROFILE_CLASSES.get(source.vocabulary, ())
-        profile_path.write_text(
+        write_atomic(
+            profile_path,
             json.dumps(_profile_document(source, result, classes), indent=2) + "\n",
-            encoding="utf-8",
         )
         outcomes: tuple[CheckOutcome, ...] = ()
         if do_check and result.status != UNAVAILABLE:
@@ -440,9 +480,8 @@ def run_campaign(
             column = SourceOutcomes(
                 source.abbreviation, source.vocabulary, UNAVAILABLE, ()
             )
-            outcomes_path.write_text(
-                json.dumps(outcomes_document(column), indent=2) + "\n",
-                encoding="utf-8",
+            write_atomic(
+                outcomes_path, json.dumps(outcomes_document(column), indent=2) + "\n"
             )
         say(
             f"{source.abbreviation}: {result.status}, {result.pages_fetched} page(s), "

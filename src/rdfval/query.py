@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 from .datatypes import is_valid_for_datatype, numeric_value, temporal_key
@@ -52,7 +51,6 @@ Atom = Union[Term, Variable]
 # Expressions
 
 COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
-ARITH_OPS = ("+", "-", "*", "/")
 
 
 class Expr:
@@ -77,21 +75,13 @@ class Compare(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Arith(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
 class Regex(Expr):
     """Unanchored regular-expression test over a literal's lexical form or
-    an IRI's text.  Dialect: character classes, anchors, quantifiers,
-    alternation, and the single flag "i"; no back-references."""
+    an IRI's text, in Python syntax; inline ``(?i)`` makes it
+    case-insensitive."""
 
     variable: Variable
     pattern: str
-    flags: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,11 +97,6 @@ class IsValidForDatatype(Expr):
 class LangMatches(Expr):
     variable: Variable
     language_range: str
-
-
-@dataclass(frozen=True, slots=True)
-class HasLanguage(Expr):
-    variable: Variable
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +118,6 @@ class IsLiteral(Expr):
     variable: Variable
 
 
-TRUE = Literal("true", XSD_BOOLEAN)
 FALSE = Literal("false", XSD_BOOLEAN)
 
 # ---------------------------------------------------------------------------
@@ -172,16 +156,13 @@ class Filter(Pattern):
 @dataclass(frozen=True, slots=True)
 class GroupCount(Pattern):
     """Group the incoming bindings by `group_vars` and bind the per-group
-    row count to `into`; `counted_var` names what is being counted and must
-    be bound upstream."""
+    row count to `into`."""
 
     group_vars: tuple[Variable, ...]
-    counted_var: Variable
     into: Variable
 
-    def __init__(self, group_vars, counted_var, into):
+    def __init__(self, group_vars, into):
         object.__setattr__(self, "group_vars", tuple(group_vars))
-        object.__setattr__(self, "counted_var", counted_var)
         object.__setattr__(self, "into", into)
 
 
@@ -194,7 +175,7 @@ def _tp_vars(tp: TriplePattern) -> set[Variable]:
 
 
 def expr_vars(e: Expr) -> set[Variable]:
-    if isinstance(e, (Compare, Arith)):
+    if isinstance(e, Compare):
         return expr_vars(e.lhs) | expr_vars(e.rhs)
     if isinstance(e, Var):
         return {e.variable}
@@ -217,7 +198,7 @@ def _pattern_uses(p: Pattern) -> set[Variable]:
         return _pattern_uses(p.pattern)
     if isinstance(p, Filter):
         return expr_vars(p.expr)
-    return set(p.group_vars) | {p.counted_var}
+    return set(p.group_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +260,6 @@ class Plan:
 
 def _validate_expr(e: Expr, problems: list[str]) -> None:
     if isinstance(e, Regex):
-        unknown = set(e.flags) - {"i"}
-        if unknown:
-            problems.append(f"unsupported regex flags {''.join(sorted(unknown))!r}")
         try:
             re.compile(e.pattern)
         except re.error as exc:
@@ -289,11 +267,6 @@ def _validate_expr(e: Expr, problems: list[str]) -> None:
     elif isinstance(e, Compare):
         if e.op not in COMPARE_OPS:
             problems.append(f"unknown comparison operator {e.op!r}")
-        _validate_expr(e.lhs, problems)
-        _validate_expr(e.rhs, problems)
-    elif isinstance(e, Arith):
-        if e.op not in ARITH_OPS:
-            problems.append(f"unknown arithmetic operator {e.op!r}")
         _validate_expr(e.lhs, problems)
         _validate_expr(e.rhs, problems)
 
@@ -381,14 +354,13 @@ def _simple_tp(p: Pattern) -> TriplePattern | None:
     return p
 
 
-def plan(p: Pattern, g: Graph | None = None, *, _outer: set[Variable] | None = None) -> Plan:
+def plan(p: Pattern, *, _outer: set[Variable] | None = None) -> Plan:
     """Compile a pattern to a single-pipeline plan.
 
     Raises PlanError when a Filter, NotExists, or GroupCount references a
     variable no triple pattern binds, or an expression is malformed.  Plans
     depend on the pattern alone, never on graph statistics.
     """
-    del g
     problems: list[str] = []
     items = _flatten(p)
     incoming = set(_outer or ())
@@ -404,7 +376,7 @@ def plan(p: Pattern, g: Graph | None = None, *, _outer: set[Variable] | None = N
                 if isinstance(part, TriplePattern)
                 for v in _tp_vars(part)
             }
-            for v in tuple(item.group_vars) + (item.counted_var,):
+            for v in item.group_vars:
                 if v not in available:
                     problems.append(f"group variable ?{v.name} is never bound")
             stages.append(Stage(_order_segment(segment, bound, problems), group=item))
@@ -424,15 +396,13 @@ def plan(p: Pattern, g: Graph | None = None, *, _outer: set[Variable] | None = N
 # ---------------------------------------------------------------------------
 # Expression evaluation
 
-_REGEX_CACHE: dict[tuple[str, str], re.Pattern] = {}
+_REGEX_CACHE: dict[str, re.Pattern] = {}
 
 
-def _compiled(pattern: str, flags: str) -> re.Pattern:
-    key = (pattern, flags)
-    rx = _REGEX_CACHE.get(key)
+def _compiled(pattern: str) -> re.Pattern:
+    rx = _REGEX_CACHE.get(pattern)
     if rx is None:
-        rx = re.compile(pattern, re.IGNORECASE if "i" in flags else 0)
-        _REGEX_CACHE[key] = rx
+        rx = _REGEX_CACHE[pattern] = re.compile(pattern)
     return rx
 
 
@@ -493,19 +463,6 @@ def _compare_terms(op: str, a: Term, b: Term) -> bool:
     raise _ExprTypeError
 
 
-def _as_number(value):
-    if isinstance(value, Literal):
-        n = numeric_value(value)
-        if n is None:
-            raise _ExprTypeError
-        return n
-    if isinstance(value, bool):
-        raise _ExprTypeError
-    if isinstance(value, (int, float, Fraction)):
-        return value
-    raise _ExprTypeError
-
-
 def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
     if isinstance(e, Constant):
         return e.term
@@ -522,23 +479,7 @@ def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
             if not (isinstance(lhs, bool) and isinstance(rhs, bool)) or e.op not in ("=", "!="):
                 raise _ExprTypeError
             return _apply_cmp(e.op, lhs, rhs)
-        if isinstance(lhs, Term) and isinstance(rhs, Term):
-            return _compare_terms(e.op, lhs, rhs)
-        return _apply_cmp(e.op, _as_number(lhs), _as_number(rhs))
-    if isinstance(e, Arith):
-        lhs = _as_number(_eval_expr(e.lhs, row, g))
-        rhs = _as_number(_eval_expr(e.rhs, row, g))
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if rhs == 0:
-            raise _ExprTypeError
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            return Fraction(lhs, rhs)
-        return lhs / rhs
+        return _compare_terms(e.op, lhs, rhs)
     if isinstance(e, Regex):
         t = _term_of(row, e.variable, g)
         if isinstance(t, Literal):
@@ -547,7 +488,7 @@ def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
             text = t.text
         else:
             raise _ExprTypeError
-        return _compiled(e.pattern, e.flags).search(text) is not None
+        return _compiled(e.pattern).search(text) is not None
     if isinstance(e, IsValidForDatatype):
         t = _term_of(row, e.variable, g)
         if not isinstance(t, Literal):
@@ -561,11 +502,6 @@ def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
             return False
         rng = e.language_range.lower()
         return rng == "*" or t.language == rng or t.language.startswith(rng + "-")
-    if isinstance(e, HasLanguage):
-        t = _term_of(row, e.variable, g)
-        if not isinstance(t, Literal):
-            raise _ExprTypeError
-        return t.language is not None
     if isinstance(e, SameLanguage):
         a = _term_of(row, e.left, g)
         b = _term_of(row, e.right, g)

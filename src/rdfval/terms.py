@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
@@ -65,7 +64,6 @@ XSD_ANY_URI = Iri(XSD + "anyURI")
 
 RDF_TYPE = Iri(RDF + "type")
 RDF_LANGSTRING = Iri(RDF + "langString")
-RDFS_LABEL = Iri(RDFS + "label")
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,18 +10,15 @@ their own direct tests.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from rdfval.datatypes import is_valid_for_datatype, numeric_value, temporal_key
 from rdfval.graph import Graph, GraphBuilder
 from rdfval.query import (
     And,
-    Arith,
     Compare,
     Constant,
     Filter,
     GroupCount,
-    HasLanguage,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
@@ -114,19 +111,6 @@ def compare_terms(op: str, a: Term, b: Term) -> bool:
     raise Reject
 
 
-def _as_number(value):
-    if isinstance(value, Literal):
-        n = numeric_value(value)
-        if n is None:
-            raise Reject
-        return n
-    if isinstance(value, bool):
-        raise Reject
-    if isinstance(value, (int, float, Fraction)):
-        return value
-    raise Reject
-
-
 def lang_matches(lit: Literal, language_range: str) -> bool:
     if lit.language is None:
         return False
@@ -153,22 +137,7 @@ def eval_expr(e, row):
             if not (isinstance(a, bool) and isinstance(b, bool)) or e.op not in ("=", "!="):
                 raise Reject
             return _cmp(e.op, a, b)
-        if isinstance(a, Term) and isinstance(b, Term):
-            return compare_terms(e.op, a, b)
-        return _cmp(e.op, _as_number(a), _as_number(b))
-    if isinstance(e, Arith):
-        a, b = _as_number(eval_expr(e.lhs, row)), _as_number(eval_expr(e.rhs, row))
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
-            raise Reject
-        if isinstance(a, int) and isinstance(b, int):
-            return Fraction(a, b)
-        return a / b
+        return compare_terms(e.op, a, b)
     if isinstance(e, Regex):
         t = eval_expr(Var(e.variable), row)
         if isinstance(t, Literal):
@@ -177,8 +146,7 @@ def eval_expr(e, row):
             text = t.text
         else:
             raise Reject
-        flags = re.IGNORECASE if "i" in e.flags else 0
-        return re.search(e.pattern, text, flags) is not None
+        return re.search(e.pattern, text) is not None
     if isinstance(e, IsValidForDatatype):
         t = eval_expr(Var(e.variable), row)
         if not isinstance(t, Literal):
@@ -189,11 +157,6 @@ def eval_expr(e, row):
         if not isinstance(t, Literal):
             raise Reject
         return lang_matches(t, e.language_range)
-    if isinstance(e, HasLanguage):
-        t = eval_expr(Var(e.variable), row)
-        if not isinstance(t, Literal):
-            raise Reject
-        return t.language is not None
     if isinstance(e, SameLanguage):
         a, b = row.get(e.left), row.get(e.right)
         if not (isinstance(a, Literal) and isinstance(b, Literal)):
@@ -981,21 +944,19 @@ def random_filter_expr(rng, bound_vars, objects):
     if form < 0.4:
         return Compare(rng.choice(ops), Var(v), Var(w))
     if form < 0.5:
-        return rng.choice((IsIri(v), IsLiteral(v), HasLanguage(v)))
+        return rng.choice((IsIri(v), IsLiteral(v), LangMatches(v, "*")))
     if form < 0.6:
         return LangMatches(v, rng.choice(_LANGUAGE_RANGES))
     if form < 0.7:
-        return Regex(v, rng.choice(_REGEXES), rng.choice(("", "i")))
+        pattern = rng.choice(_REGEXES)
+        return Regex(v, rng.choice(("", "(?i)")) + pattern)
     if form < 0.8:
         dt = rng.choice(_DATATYPES) if rng.random() < 0.5 else None
         return IsValidForDatatype(v, dt)
     if form < 0.9:
-        inner = rng.choice((IsLiteral(v), HasLanguage(v), SameLanguage(v, w)))
+        inner = rng.choice((IsLiteral(v), LangMatches(v, "*"), SameLanguage(v, w)))
         return Compare("=", inner, Constant(Literal("false", XSD_BOOLEAN)))
-    bump = Constant(_int_lit(rng.randint(-2, 2)))
-    return Compare(
-        rng.choice(ops), Arith(rng.choice(("+", "-", "*")), Var(v), bump), Constant(_int_lit(rng.randint(-2, 5)))
-    )
+    return Compare(rng.choice(ops), Var(v), Constant(_int_lit(rng.randint(-2, 5))))
 
 
 # ---------------------------------------------------------------------------

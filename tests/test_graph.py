@@ -16,7 +16,7 @@ def tri(i, j, k):
 def build(triples):
     b = GraphBuilder()
     for t in triples:
-        b.add_triple(t)
+        b.add(t.subject, t.predicate, t.object)
     return b.freeze()
 
 
@@ -94,5 +94,5 @@ def test_builder_is_single_use():
 
 def test_graph_name():
     b = GraphBuilder()
-    b.add_triple(tri(0, 0, 0))
+    b.add(Iri(EX + "n0"), Iri(EX + "p0"), Iri(EX + "n0"))
     assert b.freeze(name="probe").name == "probe"

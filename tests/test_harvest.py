@@ -292,6 +292,8 @@ def test_campaign_completes_a_virtuoso_source(tmp_path, monkeypatch):
     assert run.status == COMPLETE
     assert run.triples == len(g)
     assert len(read_data(tmp_path / "src" / "data.nt.gz")) == len(g)
+    prof = json.loads((tmp_path / "src" / "profile.json").read_text())
+    assert prof["blank-nodes"] == 1
 
 
 def test_profile_counts_per_class():
@@ -350,6 +352,8 @@ def test_campaign_data_files_are_byte_stable(tmp_path):
     first = (tmp_path / "a" / "src" / "data.nt.gz").read_bytes()
     second = (tmp_path / "b" / "src" / "data.nt.gz").read_bytes()
     assert first == second
+    # The gzip header names the stored file, not a temporary one.
+    assert first[10:18] == b"data.nt\x00"
     with gzip.open(tmp_path / "a" / "src" / "data.nt.gz") as z:
         assert z.read().endswith(b".\n")
 
@@ -379,6 +383,36 @@ def test_campaign_checks_stored_data_when_outcomes_are_missing(tmp_path):
     assert run.from_cache
     assert (tmp_path / "src" / "outcomes.json").exists()
     assert [o.constraint_id for o in run.outcomes] == ["T-1"]
+
+
+def test_campaign_refetches_a_source_whose_profile_is_torn(tmp_path):
+    g = sample_graph()
+    sdir = tmp_path / "src"
+    with mockserver.MockEndpoint(g) as ep:
+        run_campaign([source(ep.url)], tmp_path, **campaign_kw())
+        before = len(ep.requests)
+        (sdir / "profile.json").write_bytes((sdir / "profile.json").read_bytes()[:20])
+        (run,) = run_campaign([source(ep.url)], tmp_path, **campaign_kw())
+        assert len(ep.requests) > before
+    assert run.status == COMPLETE
+    assert not run.from_cache
+    assert json.loads((sdir / "profile.json").read_text())["status"] == COMPLETE
+    assert sorted(p.name for p in sdir.iterdir()) == ["data.nt.gz", "outcomes.json", "profile.json"]
+
+
+def test_campaign_recomputes_torn_outcomes_without_a_request(tmp_path):
+    g = sample_graph()
+    sdir = tmp_path / "src"
+    with mockserver.MockEndpoint(g) as ep:
+        run_campaign([source(ep.url)], tmp_path, **campaign_kw())
+        before = len(ep.requests)
+        (sdir / "outcomes.json").write_bytes((sdir / "outcomes.json").read_bytes()[:20])
+        (run,) = run_campaign([source(ep.url)], tmp_path, **campaign_kw())
+        assert len(ep.requests) == before
+    assert run.from_cache
+    assert [o.constraint_id for o in run.outcomes] == ["T-1"]
+    doc = json.loads((sdir / "outcomes.json").read_text())
+    assert [o["constraint-id"] for o in doc["outcomes"]] == ["T-1"]
 
 
 def test_campaign_marks_partial_sources_incomplete(tmp_path):

@@ -6,14 +6,12 @@ import pytest
 from rdfval.graph import GraphBuilder
 from rdfval.query import (
     And,
-    Arith,
     BudgetExceeded,
     Compare,
     Constant,
     FALSE,
     Filter,
     GroupCount,
-    HasLanguage,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
@@ -174,7 +172,7 @@ def test_filter_boolean_negation_idiom():
     p = And(
         [
             TriplePattern(iri("s"), iri("p"), A),
-            Filter(Compare("=", HasLanguage(A), Constant(FALSE))),
+            Filter(Compare("=", LangMatches(A, "*"), Constant(FALSE))),
         ]
     )
     assert [r[A] for r in rows(g, p)] == [Literal("y")]
@@ -184,7 +182,7 @@ def test_filter_regex_flags():
     g = graph((iri("s"), iri("p"), Literal("Hello")))
     tp = TriplePattern(iri("s"), iri("p"), A)
     assert rows(g, And([tp, Filter(Regex(A, "^h"))])) == []
-    assert len(rows(g, And([tp, Filter(Regex(A, "^h", "i"))]))) == 1
+    assert len(rows(g, And([tp, Filter(Regex(A, "(?i)^h"))]))) == 1
 
 
 def test_filter_lang_matches():
@@ -232,43 +230,6 @@ def test_filter_validity_probe():
     assert [r[A] for r in rows(g, p)] == [Literal("five", XSD_INTEGER)]
 
 
-def test_filter_arithmetic():
-    g = graph(
-        (iri("s"), iri("p"), Literal("3", XSD_INTEGER)),
-        (iri("s"), iri("p"), Literal("4", XSD_INTEGER)),
-    )
-    p = And(
-        [
-            TriplePattern(iri("s"), iri("p"), A),
-            Filter(
-                Compare(
-                    ">",
-                    Arith("*", Var(A), Constant(Literal("2", XSD_INTEGER))),
-                    Constant(Literal("7", XSD_INTEGER)),
-                )
-            ),
-        ]
-    )
-    assert [r[A].lexical for r in rows(g, p)] == ["4"]
-
-
-def test_division_by_zero_drops_the_row():
-    g = graph((iri("s"), iri("p"), Literal("0", XSD_INTEGER)))
-    p = And(
-        [
-            TriplePattern(iri("s"), iri("p"), A),
-            Filter(
-                Compare(
-                    "=",
-                    Arith("/", Constant(Literal("1", XSD_INTEGER)), Var(A)),
-                    Constant(Literal("1", XSD_INTEGER)),
-                )
-            ),
-        ]
-    )
-    assert rows(g, p) == []
-
-
 def test_iri_and_literal_probes():
     g = graph(
         (iri("s"), iri("p"), iri("o")),
@@ -283,7 +244,7 @@ def test_group_count_values_per_subject():
     p = And(
         [
             TriplePattern(A, iri("p"), B),
-            GroupCount((A,), B, C),
+            GroupCount((A,), C),
         ]
     )
     got = rows(SMALL, p)
@@ -299,7 +260,7 @@ def test_group_count_then_filter():
     p = And(
         [
             TriplePattern(A, iri("p"), B),
-            GroupCount((A,), B, C),
+            GroupCount((A,), C),
             Filter(Compare(">", Var(C), Constant(Literal("1", XSD_INTEGER)))),
         ]
     )
@@ -310,7 +271,7 @@ def test_group_count_of_nothing_is_no_rows():
     p = And(
         [
             TriplePattern(A, iri("absent"), B),
-            GroupCount((A,), B, C),
+            GroupCount((A,), C),
         ]
     )
     assert rows(SMALL, p) == []
@@ -329,7 +290,7 @@ def test_plan_rejects_filters_over_unbound_variables():
 
 
 def test_plan_rejects_group_variables_never_bound():
-    p = And([TriplePattern(A, iri("p"), B), GroupCount((C,), B, Variable("n"))])
+    p = And([TriplePattern(A, iri("p"), B), GroupCount((C,), Variable("n"))])
     with pytest.raises(PlanError):
         plan(p)
 
@@ -338,7 +299,7 @@ def test_plan_rejects_variables_consumed_by_grouping():
     p = And(
         [
             TriplePattern(A, iri("p"), B),
-            GroupCount((A,), B, C),
+            GroupCount((A,), C),
             Filter(IsLiteral(B)),
         ]
     )
