@@ -574,17 +574,37 @@ def mark_source_incomplete(outcomes: list[CheckOutcome], parts_missing: int) -> 
     return flagged
 
 
+def _report_prefix(outcomes: list[CheckOutcome]) -> str:
+    """The label prefix of the report nodes: ``v``, or as many ``v`` as it
+    takes for no focus or value blank label to start with it, so that a
+    report node never merges with a reported one."""
+    labels = [
+        t.label
+        for outcome in outcomes
+        for v in outcome.violations
+        for t in (v.focus, v.value)
+        if isinstance(t, BlankNode)
+    ]
+    prefix = "v"
+    while any(label.startswith(prefix) for label in labels):
+        prefix += "v"
+    return prefix
+
+
 def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     """Encode all violations as triples in the fixed reporting namespace,
-    one node per violation, one triple per populated field.
+    one node per violation, one triple per populated field. Report nodes
+    are ``_:v0``, ``_:v1``, ... unless a reported blank label starts with
+    ``v`` (see ``_report_prefix``).
 
     ``violations_ntriples`` writes the same triples without building the
     graph; this is the reference it is tested against."""
     b = GraphBuilder()
+    prefix = _report_prefix(outcomes)
     n = 0
     for outcome in outcomes:
         for v in outcome.violations:
-            node = BlankNode(f"v{n}")
+            node = BlankNode(f"{prefix}{n}")
             n += 1
             b.add(node, REPORT_ROOT, v.focus)
             if v.path is not None:
@@ -622,19 +642,24 @@ def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
             t = plains[lexical] = plain_literal_text(lexical)
         return t
 
-    lines: list[str] = []
-    add = lines.append
-    n = 0
-    for outcome in outcomes:
-        for v in outcome.violations:
-            node = f"_:v{n}"
-            n += 1
-            add(f"{node}{root}{text(v.focus)} .")
-            if v.path is not None:
-                add(f"{node}{path_p}{text(v.path)} .")
-            if v.value is not None:
-                add(f"{node}{value_p}{text(v.value)} .")
-            add(f"{node}{severity_p}{plain(v.severity.json_name)} .")
-            add(f"{node}{message_p}{plain_literal_text(v.message)} .")
-            add(f"{node}{constraint_p}{plain(v.constraint_id)} .")
-    return canonical_lines(lines)
+    prefix = f"_:{_report_prefix(outcomes)}"
+
+    def lines():
+        n = 0
+        for outcome in outcomes:
+            for v in outcome.violations:
+                node = f"{prefix}{n}"
+                n += 1
+                yield f"{node}{root}{text(v.focus)} ."
+                if v.path is not None:
+                    yield f"{node}{path_p}{text(v.path)} ."
+                if v.value is not None:
+                    yield f"{node}{value_p}{text(v.value)} ."
+                yield f"{node}{severity_p}{plain(v.severity.json_name)} ."
+                yield f"{node}{message_p}{plain_literal_text(v.message)} ."
+                yield f"{node}{constraint_p}{plain(v.constraint_id)} ."
+        terms.clear()
+        plains.clear()
+
+    # A generator, so that no list holds the lines while they are encoded.
+    return canonical_lines(lines())

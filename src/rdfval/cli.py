@@ -92,12 +92,37 @@ def _read_graphs(paths: tuple[str, ...]) -> Graph:
         return load_graph(paths[0])
     builder = GraphBuilder()
     for i, path in enumerate(paths):
-        # Blank node labels are file-scoped; renaming keeps files apart.
-        for t in load_graph(path):
-            s = BlankNode(f"f{i}.{t.subject.label}") if isinstance(t.subject, BlankNode) else t.subject
-            o = BlankNode(f"f{i}.{t.object.label}") if isinstance(t.object, BlankNode) else t.object
-            builder.add(s, t.predicate, o)
+        _merge_ids(builder, load_graph(path), f"f{i}.")
     return builder.freeze(name="data")
+
+
+def _merge_ids(builder: GraphBuilder, g: Graph, blank_prefix: str) -> None:
+    """Add ``g``'s triples to ``builder`` as ids, interning each of its
+    terms once in first-use order. Blank node labels are file-scoped, so
+    each blank node is renamed ``blank_prefix + label``."""
+    ids: dict[int, int] = {}
+    intern = builder.intern
+    add_ids = builder.add_ids
+
+    def merged(local: int) -> int:
+        term = g.term(local)
+        if isinstance(term, BlankNode):
+            term = BlankNode(blank_prefix + term.label)
+        i = ids[local] = intern(term)
+        return i
+
+    get = ids.get
+    for s, p, o in g.match_ids(None, None, None):
+        ms = get(s)
+        if ms is None:
+            ms = merged(s)
+        mp = get(p)
+        if mp is None:
+            mp = merged(p)
+        mo = get(o)
+        if mo is None:
+            mo = merged(o)
+        add_ids(ms, mp, mo)
 
 
 @click.group()

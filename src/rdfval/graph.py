@@ -30,9 +30,11 @@ class Graph:
         self,
         terms: list[Term],
         ids: dict[Term, int],
-        spo_tuples: list[tuple[int, int, int]],
+        flat: list[int],
         name: str | None = None,
     ):
+        """``flat`` holds the triples as ids, subject, predicate, object,
+        one triple after another; it is emptied once packed."""
         self.name = name
         self._terms = terms
         self._ids = ids
@@ -40,7 +42,9 @@ class Graph:
         self._bits = bits
         self._mask = (1 << bits) - 1
         two = 2 * bits
-        packed = [(s << two) | (p << bits) | o for (s, p, o) in spo_tuples]
+        it = iter(flat)
+        packed = [(s << two) | (p << bits) | o for s, p, o in zip(it, it, it)]
+        flat.clear()
         packed.sort()
         spo: list[int] = []
         prev = -1
@@ -48,6 +52,7 @@ class Graph:
             if v != prev:
                 spo.append(v)
                 prev = v
+        del packed
         self._spo = spo
         self._pos = sorted((((v >> bits) & self._mask) << two) | ((v & self._mask) << bits) | (v >> two) for v in spo)
         self._osp = sorted(((v & self._mask) << two) | ((v >> two) << bits) | ((v >> bits) & self._mask) for v in spo)
@@ -199,24 +204,36 @@ class Graph:
 class GraphBuilder:
     """Accumulates triples, then freezes them into a Graph.
 
-    Construction is single-writer; the frozen result is shareable.
+    Triples are kept as term ids in one flat list. ``add`` checks the term
+    kinds; loaders that know them already call ``intern`` once per distinct
+    term and ``add_ids`` per triple. Construction is single-writer; the
+    frozen result is shareable.
     """
 
-    __slots__ = ("_terms", "_ids", "_tuples", "_frozen")
+    __slots__ = ("_terms", "_ids", "_flat", "_frozen")
 
     def __init__(self) -> None:
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
-        self._tuples: list[tuple[int, int, int]] = []
+        self._flat: list[int] = []
         self._frozen = False
 
-    def _intern(self, term: Term) -> int:
+    def intern(self, term: Term) -> int:
+        """The id of ``term`` in the graph being built, assigned in
+        first-interned order."""
         i = self._ids.get(term)
         if i is None:
             i = len(self._terms)
             self._ids[term] = i
             self._terms.append(term)
         return i
+
+    def add_ids(self, s: int, p: int, o: int) -> None:
+        """Add a triple of interned ids; the caller guarantees a non-literal
+        subject and an IRI predicate."""
+        if self._frozen:
+            raise RuntimeError("builder already frozen")
+        self._flat += (s, p, o)
 
     def add(self, s: Term, p: Term, o: Term) -> None:
         if self._frozen:
@@ -225,17 +242,16 @@ class GraphBuilder:
             raise ValueError("triple subject cannot be a literal")
         if not isinstance(p, Iri):
             raise ValueError("triple predicate must be an IRI")
-        self._tuples.append((self._intern(s), self._intern(p), self._intern(o)))
+        self.add_ids(self.intern(s), self.intern(p), self.intern(o))
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._flat) // 3
 
     def freeze(self, name: str | None = None) -> Graph:
         if self._frozen:
             raise RuntimeError("builder already frozen")
         self._frozen = True
-        g = Graph(self._terms, self._ids, self._tuples, name=name)
+        g = Graph(self._terms, self._ids, self._flat, name=name)
         self._terms = []
         self._ids = {}
-        self._tuples = []
         return g

@@ -16,17 +16,19 @@ from .turtle import parse_turtle_subset
 def load_graph(path: str | Path, name: str | None = None) -> Graph:
     p = Path(path)
     suffixes = [s.lower() for s in p.suffixes]
-    data = p.read_bytes()
-    if suffixes and suffixes[-1] == ".gz":
-        data = gzip.decompress(data)
+    gz = bool(suffixes) and suffixes[-1] == ".gz"
+    if gz:
         suffixes = suffixes[:-1]
     fmt = suffixes[-1] if suffixes else ""
+    if fmt == ".ttl":
+        parse = parse_turtle_subset
+    elif fmt == ".nt":
+        parse = parse_ntriples
+    else:
+        raise ValueError(f"cannot infer RDF format from file name: {p.name}")
     if name is None:
         name = p.name
-        for _ in range(2 if fmt and p.suffix.lower() == ".gz" else 1):
+        for _ in range(2 if gz else 1):
             name = name.rsplit(".", 1)[0]
-    if fmt == ".ttl":
-        return parse_turtle_subset(data, name=name)
-    if fmt == ".nt":
-        return parse_ntriples(data, name=name)
-    raise ValueError(f"cannot infer RDF format from file name: {p.name}")
+    # No local holds the bytes, so the parser can free them once decoded.
+    return parse(gzip.decompress(p.read_bytes()) if gz else p.read_bytes(), name=name)

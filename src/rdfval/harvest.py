@@ -11,6 +11,7 @@ import io
 import json
 import os
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -389,7 +390,8 @@ def run_campaign(
     checking) ``outcomes.json``, each replaced atomically.  A source already
     stored as complete is not fetched again; if only its outcomes are
     missing they are computed from the stored data.  An unreadable or
-    malformed profile or outcomes file counts as missing.  Partial harvests
+    malformed profile, outcomes or data file counts as missing; a source
+    whose stored data cannot be read is fetched again.  Partial harvests
     keep their outcomes but flag every result as source-incomplete.
     ``do_check=False`` harvests and profiles only.
     """
@@ -453,14 +455,17 @@ def run_campaign(
                     source, COMPLETE, prof["pages-fetched"], prof["triples"], None,
                     column.outcomes, from_cache=True,
                 )
-            outcomes = check_and_store(
-                source, outcomes_path, COMPLETE, read_data(data_path)
-            )
-            say(f"{source.abbreviation}: checked stored data")
-            return SourceRun(
-                source, COMPLETE, prof["pages-fetched"], prof["triples"], None,
-                outcomes, from_cache=True,
-            )
+            try:
+                stored = read_data(data_path)
+            except (OSError, EOFError, zlib.error, ValueError):
+                stored = None  # torn or damaged: fetched again below
+            if stored is not None:
+                outcomes = check_and_store(source, outcomes_path, COMPLETE, stored)
+                say(f"{source.abbreviation}: checked stored data")
+                return SourceRun(
+                    source, COMPLETE, prof["pages-fetched"], prof["triples"], None,
+                    outcomes, from_cache=True,
+                )
 
         session = session_factory() if session_factory is not None else None
         result = harvest(source, session=session, sleep=sleep)

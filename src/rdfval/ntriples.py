@@ -12,14 +12,7 @@ import re
 from typing import Iterable
 
 from .graph import Graph, GraphBuilder
-from .terms import (
-    BlankNode,
-    Iri,
-    Literal,
-    Term,
-    Triple,
-    triple_text,
-)
+from .terms import BlankNode, Iri, Literal, Triple, triple_text
 
 
 class ParseError(ValueError):
@@ -34,11 +27,12 @@ class ParseError(ValueError):
 
 _IRIREF = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
 _BLANK = r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)"
-_LITERAL = r'"((?:[^"\\\n\r]|\\.)*)"(?:@([a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)|\^\^' + _IRIREF + r")?"
+_LITERAL = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"(?:@([a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)|\^\^' + _IRIREF + r")?"
 
+# One whole line from its first character, with its line break if any.
 _LINE_RE = re.compile(
-    rf"^[ \t]*(?:(?:{_IRIREF}|{_BLANK})[ \t]+{_IRIREF}[ \t]+"
-    rf"(?:{_IRIREF}|{_BLANK}|{_LITERAL})[ \t]*\.[ \t]*)?(?:#.*)?$"
+    rf"[ \t]*(?:(?:{_IRIREF}|{_BLANK})[ \t]+{_IRIREF}[ \t]+"
+    rf"(?:{_IRIREF}|{_BLANK}|{_LITERAL})[ \t]*\.[ \t]*)?(?:#.*)?\r?(?:\n|\Z)"
 )
 
 _STRING_ESCAPES = {
@@ -107,22 +101,6 @@ def _column_of_error(line_text: str) -> int:
     return i + 1
 
 
-class _BlankScope:
-    """Renames blank labels to b0, b1, ... in first-seen order."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self) -> None:
-        self._map: dict[str, BlankNode] = {}
-
-    def node(self, label: str) -> BlankNode:
-        node = self._map.get(label)
-        if node is None:
-            node = BlankNode(f"b{len(self._map)}")
-            self._map[label] = node
-        return node
-
-
 def parse_ntriples(data: bytes | str, name: str | None = None) -> Graph:
     """Parse N-Triples text into a frozen Graph.
 
@@ -137,48 +115,92 @@ def parse_ntriples(data: bytes | str, name: str | None = None) -> Graph:
             raise ParseError(bad_line, 1, f"input is not UTF-8: {exc.reason}") from None
     else:
         text = data
+    del data  # frees input bytes the caller passed without keeping
     builder = GraphBuilder()
-    scope = _BlankScope()
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line or line.isspace():
-            continue
-        m = _LINE_RE.match(line)
-        if m is None:
-            raise ParseError(lineno, _column_of_error(line), "malformed triple line")
-        if m.group(1) is None and m.group(2) is None:
-            continue  # comment-only line
-        subject: Term
-        if m.group(1) is not None:
-            subject = _make_iri(m.group(1), lineno, m.start(1))
-        else:
-            subject = scope.node(m.group(2))
-        predicate = _make_iri(m.group(3), lineno, m.start(3))
-        obj: Term
-        if m.group(4) is not None:
-            obj = _make_iri(m.group(4), lineno, m.start(4))
-        elif m.group(5) is not None:
-            obj = scope.node(m.group(5))
-        else:
-            lexical = unescape_string(m.group(6), lineno, m.start(6) + 1)
-            lang = m.group(7)
-            dt = m.group(8)
-            if lang is not None:
-                obj = Literal(lexical, language=lang)
-            elif dt is not None:
-                obj = Literal(lexical, datatype=_make_iri(dt, lineno, m.start(8)))
-            else:
-                obj = Literal(lexical)
-        builder.add(subject, predicate, obj)
+    _add_lines(text, builder)
+    # The text and the parse memos are gone before the indexes are built.
+    del text
     return builder.freeze(name=name)
 
 
-def _make_iri(text: str, lineno: int, start: int) -> Iri:
+def _add_lines(text: str, builder: GraphBuilder) -> None:
+    """Add every triple line of ``text`` to ``builder``.
+
+    Each distinct token spelling (IRI text, blank label, literal groups) is
+    turned into a term, checked and interned once; a repeat maps straight
+    to its id. Blank labels become ``b0``, ``b1``, ... in first-seen order.
+    """
+    intern = builder.intern
+    add_ids = builder.add_ids
+    match = _LINE_RE.match
+    iris: dict[str, int] = {}
+    blanks: dict[str, int] = {}
+    literals: dict[tuple[str, str | None, str | None], int] = {}
+    datatypes: dict[str, Iri] = {}
+    n = len(text)
+    start = 0
+    lineno = 0
+    while start < n:
+        lineno += 1
+        m = match(text, start)
+        if m is None:
+            end = text.find("\n", start)
+            if end < 0:
+                end = n
+            line = text[start:end]
+            if line.endswith("\r"):
+                line = line[:-1]
+            start = end + 1
+            if line.isspace():
+                continue
+            raise ParseError(lineno, _column_of_error(line), "malformed triple line")
+        line_start = start
+        start = m.end()
+        si, sb, pi, oi, ob, lex, lang, dt = m.groups()
+        if si is not None:
+            s = iris.get(si)
+            if s is None:
+                s = iris[si] = intern(_make_iri(si, lineno, m.start(1) - line_start))
+        elif sb is not None:
+            s = blanks.get(sb)
+            if s is None:
+                s = blanks[sb] = intern(BlankNode(f"b{len(blanks)}"))
+        else:
+            continue  # blank or comment-only line
+        p = iris.get(pi)
+        if p is None:
+            p = iris[pi] = intern(_make_iri(pi, lineno, m.start(3) - line_start))
+        if oi is not None:
+            o = iris.get(oi)
+            if o is None:
+                o = iris[oi] = intern(_make_iri(oi, lineno, m.start(4) - line_start))
+        elif ob is not None:
+            o = blanks.get(ob)
+            if o is None:
+                o = blanks[ob] = intern(BlankNode(f"b{len(blanks)}"))
+        else:
+            key = (lex, lang, dt)
+            o = literals.get(key)
+            if o is None:
+                lexical = unescape_string(lex, lineno, m.start(6) - line_start + 1)
+                if lang is not None:
+                    term = Literal(lexical, language=lang)
+                elif dt is not None:
+                    datatype = datatypes.get(dt)
+                    if datatype is None:
+                        datatype = datatypes[dt] = _make_iri(dt, lineno, m.start(8) - line_start)
+                    term = Literal(lexical, datatype=datatype)
+                else:
+                    term = Literal(lexical)
+                o = literals[key] = intern(term)
+        add_ids(s, p, o)
+
+
+def _make_iri(text: str, lineno: int, offset: int) -> Iri:
     try:
         return Iri(text)
     except ValueError as exc:
-        raise ParseError(lineno, start + 1, str(exc)) from None
+        raise ParseError(lineno, offset + 1, str(exc)) from None
 
 
 def canonical_lines(lines: Iterable[str]) -> bytes:
@@ -187,7 +209,11 @@ def canonical_lines(lines: Iterable[str]) -> bytes:
     unique = sorted(set(lines))
     if not unique:
         return b""
-    return ("\n".join(unique) + "\n").encode("utf-8")
+    unique.append("")  # the final newline
+    text = "\n".join(unique)
+    # Given a generator, the lines are freed here, before the encoded copy.
+    del unique
+    return text.encode("utf-8")
 
 
 def serialize_ntriples(g: Graph | Iterable[Triple]) -> bytes:

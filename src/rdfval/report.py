@@ -248,6 +248,15 @@ def summarize_counts(rows, fmt: str = "md") -> str:
 # Campaign directories
 
 
+def _read_json(path: Path, parse=lambda doc: doc):
+    """``parse`` of a campaign JSON file; a torn or malformed file is an
+    error that names it."""
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def render_campaign(out_dir) -> dict[str, str]:
     """Render every report file for a campaign directory.
 
@@ -265,13 +274,11 @@ def render_campaign(out_dir) -> dict[str, str]:
         outcomes_path = sub / "outcomes.json"
         if not outcomes_path.exists():
             continue
-        column = parse_outcomes_document(
-            json.loads(outcomes_path.read_text(encoding="utf-8"))
-        )
+        column = _read_json(outcomes_path, parse_outcomes_document)
         triples = 0
         profile_path = sub / "profile.json"
         if profile_path.exists():
-            triples = json.loads(profile_path.read_text(encoding="utf-8")).get("triples", 0)
+            triples = _read_json(profile_path).get("triples", 0)
         scanned.append((column, triples))
     if not scanned:
         raise ValueError(f"no outcomes.json found under {out}")

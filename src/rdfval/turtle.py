@@ -26,35 +26,36 @@ class UnsupportedFeature(ParseError):
         self.feature = feature
 
 
-_TOKEN_RES: list[tuple[str, re.Pattern[str]]] = [
-    ("WS", re.compile(r"[ \t\r\n]+")),
-    ("COMMENT", re.compile(r"#[^\n]*")),
-    ("PREFIX_DIR", re.compile(r"@prefix\b")),
-    ("BASE_DIR", re.compile(r"@base\b")),
-    ("IRIREF", re.compile(r"<([^\x00-\x20<>\"{}|^`\\]*)>")),
-    ("BLANK", re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)")),
-    (
-        "STRING",
-        re.compile(r'"((?:[^"\\\n\r]|\\.)*)"'),
-    ),
-    ("LANGTAG", re.compile(r"@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*")),
-    ("DTSEP", re.compile(r"\^\^")),
-    (
-        "PNAME",
-        re.compile(
-            r"([A-Za-z][A-Za-z0-9_\-]*)?:"
-            r"((?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_\-.]))*)"
-        ),
-    ),
-    ("A", re.compile(r"a(?![A-Za-z0-9_])")),
-    ("DOT", re.compile(r"\.")),
-    ("SEMI", re.compile(r";")),
-    ("COMMA", re.compile(r",")),
-    ("LBRACKET", re.compile(r"\[")),
-    ("RBRACKET", re.compile(r"\]")),
-    ("LPAREN", re.compile(r"\(")),
-    ("WORD", re.compile(r"[A-Za-z][A-Za-z0-9_]*")),
-]
+# One alternation, tried in this priority order; the first alternative that
+# matches names the token. A triple-quoted string comes first because
+# STRING would take its first two quotes. Other unsupported forms cannot
+# start any token, so they surface where nothing matches (``_reject``).
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in [
+            ("TRIPLE_QUOTED", r'"""'),
+            ("WS", r"[ \t\r\n]+"),
+            ("COMMENT", r"#[^\n]*"),
+            ("PREFIX_DIR", r"@prefix\b"),
+            ("BASE_DIR", r"@base\b"),
+            ("IRIREF", r"<[^\x00-\x20<>\"{}|^`\\]*>"),
+            ("BLANK", r"_:[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
+            ("STRING", r'"(?:[^"\\\n\r]|\\.)*"'),
+            ("LANGTAG", r"@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*"),
+            ("DTSEP", r"\^\^"),
+            ("PNAME", r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_\-.]))*"),
+            ("A", r"a(?![A-Za-z0-9_])"),
+            ("DOT", r"\."),
+            ("SEMI", r";"),
+            ("COMMA", r","),
+            ("LBRACKET", r"\["),
+            ("RBRACKET", r"\]"),
+            ("LPAREN", r"\("),
+            ("WORD", r"[A-Za-z][A-Za-z0-9_]*"),
+        ]
+    )
+)
 
 
 class _Token:
@@ -69,60 +70,69 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     pos = 0
     line = 1
     line_start = 0
     n = len(text)
     while pos < n:
-        ch = text[pos]
         col = pos - line_start + 1
-        if text.startswith('"""', pos) or text.startswith("'''", pos):
+        m = match(text, pos)
+        if m is None:
+            _reject(text, pos, line, col)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "WS":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "COMMENT":
+            pass
+        elif kind == "WORD":
+            word = m.group()
+            if word.upper() in ("PREFIX", "BASE"):
+                raise UnsupportedFeature(line, col, "SPARQL-style directive")
+            if word in ("true", "false"):
+                raise UnsupportedFeature(line, col, "boolean literal shorthand")
+            raise ParseError(line, col, f"unexpected word {word!r}")
+        elif kind == "LPAREN":
+            raise UnsupportedFeature(line, col, "collection")
+        elif kind == "TRIPLE_QUOTED":
             raise UnsupportedFeature(line, col, "triple-quoted string")
-        if text.startswith("<<", pos):
-            raise UnsupportedFeature(line, col, "quoted triple")
-        if ch == "'":
-            raise UnsupportedFeature(line, col, "single-quoted string")
-        if ch.isdigit() or (ch in "+-" and pos + 1 < n and (text[pos + 1].isdigit() or text[pos + 1] == ".")):
-            raise UnsupportedFeature(line, col, "numeric literal shorthand")
-        for kind, pattern in _TOKEN_RES:
-            m = pattern.match(text, pos)
-            if m is None:
-                continue
-            if kind == "WS":
-                chunk = m.group(0)
-                newlines = chunk.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = pos + chunk.rindex("\n") + 1
-            elif kind == "COMMENT":
-                pass
-            elif kind == "WORD":
-                word = m.group(0)
-                if word.upper() in ("PREFIX", "BASE"):
-                    raise UnsupportedFeature(line, col, "SPARQL-style directive")
-                if word in ("true", "false"):
-                    raise UnsupportedFeature(line, col, "boolean literal shorthand")
-                raise ParseError(line, col, f"unexpected word {word!r}")
-            elif kind == "LPAREN":
-                raise UnsupportedFeature(line, col, "collection")
-            else:
-                tokens.append(_Token(kind, m.group(0), line, col))
-            pos = m.end()
-            break
         else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
+            append(_Token(kind, m.group(), line, col))
+        pos = end
     tokens.append(_Token("EOF", "", line, n - line_start + 1))
     return tokens
 
 
+def _reject(text: str, pos: int, line: int, col: int) -> None:
+    """Raise the error for a position where no token starts."""
+    ch = text[pos]
+    if text.startswith("'''", pos):
+        raise UnsupportedFeature(line, col, "triple-quoted string")
+    if text.startswith("<<", pos):
+        raise UnsupportedFeature(line, col, "quoted triple")
+    if ch == "'":
+        raise UnsupportedFeature(line, col, "single-quoted string")
+    if ch.isdigit() or (ch in "+-" and pos + 1 < len(text) and (text[pos + 1].isdigit() or text[pos + 1] == ".")):
+        raise UnsupportedFeature(line, col, "numeric literal shorthand")
+    raise ParseError(line, col, f"unexpected character {ch!r}")
+
+
 class _TurtleParser:
-    def __init__(self, text: str, base: str | None, name: str | None):
+    def __init__(self, text: str, base: str | None):
         self.tokens = _tokenize(text)
         self.i = 0
         self.base = base
         self.prefixes: dict[str, str] = {}
         self.builder = GraphBuilder()
-        self.name = name
+        # IRIREF/PNAME token text -> its checked IRI, valid until the next
+        # directive. Ids are assigned when a triple is added, as a
+        # bracketed object adds its own triples before the outer one.
+        self._iris: dict[str, Iri] = {}
         self._blank_count = 0
         self._blank_map: dict[str, BlankNode] = {}
 
@@ -166,6 +176,17 @@ class _TurtleParser:
         except ValueError as exc:
             raise ParseError(tok.line, tok.column, str(exc)) from None
 
+    def _iri(self, tok: _Token) -> Iri:
+        """The IRI an IRIREF or PNAME token stands for."""
+        iri = self._iris.get(tok.value)
+        if iri is None:
+            if tok.kind == "IRIREF":
+                iri = self._resolve_iri(tok.value[1:-1], tok)
+            else:
+                iri = self._expand_pname(tok)
+            self._iris[tok.value] = iri
+        return iri
+
     def _expand_pname(self, tok: _Token) -> Iri:
         m = re.match(r"^([A-Za-z][A-Za-z0-9_\-]*)?:(.*)$", tok.value)
         prefix = m.group(1) or ""
@@ -180,7 +201,7 @@ class _TurtleParser:
 
     # ---- grammar ------------------------------------------------------------
 
-    def parse(self) -> Graph:
+    def parse(self) -> None:
         while True:
             tok = self.peek()
             if tok.kind == "EOF":
@@ -194,15 +215,16 @@ class _TurtleParser:
                 self.expect("DOT", "'.'")
                 prefix = pname.value[:-1]
                 self.prefixes[prefix] = self._resolve_iri(iritok.value[1:-1], iritok).text
+                self._iris.clear()
             elif tok.kind == "BASE_DIR":
                 self.next()
                 iritok = self.expect("IRIREF", "IRI")
                 self.expect("DOT", "'.'")
                 self.base = self._resolve_iri(iritok.value[1:-1], iritok).text
+                self._iris.clear()
             else:
                 self._triples()
                 self.expect("DOT", "'.'")
-        return self.builder.freeze(name=self.name)
 
     def _triples(self) -> None:
         tok = self.peek()
@@ -217,10 +239,8 @@ class _TurtleParser:
 
     def _subject(self) -> Term:
         tok = self.next()
-        if tok.kind == "IRIREF":
-            return self._resolve_iri(tok.value[1:-1], tok)
-        if tok.kind == "PNAME":
-            return self._expand_pname(tok)
+        if tok.kind == "IRIREF" or tok.kind == "PNAME":
+            return self._iri(tok)
         if tok.kind == "BLANK":
             return self._labeled_blank(tok.value[2:])
         raise ParseError(tok.line, tok.column, "expected subject")
@@ -243,16 +263,15 @@ class _TurtleParser:
         tok = self.next()
         if tok.kind == "A":
             return RDF_TYPE
-        if tok.kind == "IRIREF":
-            return self._resolve_iri(tok.value[1:-1], tok)
-        if tok.kind == "PNAME":
-            return self._expand_pname(tok)
+        if tok.kind == "IRIREF" or tok.kind == "PNAME":
+            return self._iri(tok)
         raise ParseError(tok.line, tok.column, "expected predicate")
 
     def _object_list(self, subject: Term, predicate: Iri) -> None:
+        intern = self.builder.intern
         while True:
             obj = self._object()
-            self.builder.add(subject, predicate, obj)
+            self.builder.add_ids(intern(subject), intern(predicate), intern(obj))
             if self.peek().kind == "COMMA":
                 self.next()
                 continue
@@ -263,10 +282,8 @@ class _TurtleParser:
         if tok.kind == "LBRACKET":
             return self._blank_property_list()
         self.next()
-        if tok.kind == "IRIREF":
-            return self._resolve_iri(tok.value[1:-1], tok)
-        if tok.kind == "PNAME":
-            return self._expand_pname(tok)
+        if tok.kind == "IRIREF" or tok.kind == "PNAME":
+            return self._iri(tok)
         if tok.kind == "BLANK":
             return self._labeled_blank(tok.value[2:])
         if tok.kind == "STRING":
@@ -283,10 +300,8 @@ class _TurtleParser:
         if nxt.kind == "DTSEP":
             self.next()
             dtok = self.next()
-            if dtok.kind == "IRIREF":
-                return Literal(lexical, datatype=self._resolve_iri(dtok.value[1:-1], dtok))
-            if dtok.kind == "PNAME":
-                return Literal(lexical, datatype=self._expand_pname(dtok))
+            if dtok.kind == "IRIREF" or dtok.kind == "PNAME":
+                return Literal(lexical, datatype=self._iri(dtok))
             raise ParseError(dtok.line, dtok.column, "expected datatype IRI")
         return Literal(lexical)
 
@@ -315,4 +330,11 @@ def parse_turtle_subset(
             raise ParseError(bad_line, 1, f"input is not UTF-8: {exc.reason}") from None
     else:
         text = data
-    return _TurtleParser(text, base, name).parse()
+    del data  # frees input bytes the caller passed without keeping
+    parser = _TurtleParser(text, base)
+    del text
+    parser.parse()
+    builder = parser.builder
+    # The tokens and the memo are gone before the indexes are built.
+    del parser
+    return builder.freeze(name=name)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import rdfval.checker
 import rdfval.cli
+import rdfval.packs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,3 +28,30 @@ def test_bench_tracer_installs_and_restores_every_wrapper(monkeypatch):
     finally:
         p.restore()
     assert (rdfval.cli.load_graph, rdfval.checker.run_plan) == originals
+
+
+def test_bench_tracer_sees_every_load(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    fixture = Path(rdfval.packs.__file__).parent / "data" / "fixtures" / "thesaurus.nt"
+    lines = fixture.read_text(encoding="utf-8").splitlines()
+    pair = (tmp_path / "a.nt", tmp_path / "b.ttl")
+    pair[0].write_text("\n".join(lines[::2]) + "\n", encoding="utf-8")
+    pair[1].write_text("\n".join(lines[1::2]) + "\n", encoding="utf-8")
+
+    for paths, parse_spans in (((fixture,), {"ntriples.parse"}),
+                               (pair, {"ntriples.parse", "turtle.parse"})):
+        tracer = layers.SpanPass()
+        p = layers._Patches()
+        try:
+            tracer.install(p)
+            graph = rdfval.cli._read_graphs(tuple(str(x) for x in paths))
+        finally:
+            p.restore()
+        names = {span[0] for span in tracer.spans}
+        assert {"graphio.load", "graph.freeze"} | parse_spans <= names
+        metrics = tracer.metrics()
+        assert metrics["graph.freeze_s"] > 0
+        per_file = sum(len(rdfval.cli.load_graph(str(x))) for x in paths) if len(paths) > 1 else 0
+        assert metrics["graph.triples"] == len(graph) + per_file

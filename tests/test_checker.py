@@ -19,6 +19,7 @@ from rdfval.checker import (
     ENGINE_FAILURE,
     NOT_IMPLEMENTED_STATUS,
     OK,
+    REPORT_ROOT,
     SOURCE_INCOMPLETE,
     TRUNCATED,
     VIOLATED,
@@ -395,6 +396,28 @@ def test_violations_ntriples_escapes_hostile_messages():
     assert got == reference_ntriples(outcomes)
     assert b'\\"' in got and b"\\u001F" in got and b"\\u007F" in got
     assert "\x80".encode("utf-8") in got and "🙂".encode("utf-8") in got
+
+
+def test_report_nodes_never_merge_with_reported_blank_nodes():
+    reported = [BlankNode("v0"), BlankNode("vv1"), BlankNode("b0")]
+    violations = tuple(
+        Violation("T-0", Severity(1), node, iri("p"), BlankNode("v1"), f"m{i}")
+        for i, node in enumerate(reported)
+    )
+    outcomes = [CheckOutcome("T-0", VIOLATED, violations, count=3)]
+    got = violations_ntriples(outcomes)
+    assert got == reference_ntriples(outcomes)
+    g = violations_to_graph(outcomes)
+    report_nodes = {t.subject for t in g.match(None, REPORT_ROOT, None)}
+    assert report_nodes == {BlankNode("vvv0"), BlankNode("vvv1"), BlankNode("vvv2")}
+    assert len(g) == 6 * len(violations)
+    assert {t.object for t in g.match(None, REPORT_ROOT, None)} == set(reported)
+
+
+def test_report_nodes_keep_the_v_prefix_without_a_clash():
+    violation = Violation("T-0", Severity(1), BlankNode("b0"), None, BlankNode("x"), "m")
+    outcomes = [CheckOutcome("T-0", VIOLATED, (violation,), count=1)]
+    assert violations_ntriples(outcomes).startswith(b"_:v0 ")
 
 
 def test_violations_ntriples_of_nothing_is_empty():

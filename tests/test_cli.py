@@ -226,6 +226,15 @@ def test_report_needs_outcome_files(tmp_path):
     assert "error: no outcomes.json" in result.stderr
 
 
+def test_report_names_a_torn_outcomes_file(tmp_path):
+    seed_campaign_dir(tmp_path)
+    torn = tmp_path / "alpha" / "outcomes.json"
+    torn.write_bytes(torn.read_bytes()[:20])
+    result = CliRunner().invoke(main, ["report", "--from", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {torn}: ")
+
+
 def endpoint_graph():
     b = GraphBuilder()
     b.add(Iri("urn:ex:s1"), RDF_TYPE, Iri("urn:ex:C"))

@@ -415,6 +415,24 @@ def test_campaign_recomputes_torn_outcomes_without_a_request(tmp_path):
     assert [o["constraint-id"] for o in doc["outcomes"]] == ["T-1"]
 
 
+def test_campaign_refetches_a_source_whose_stored_data_is_torn(tmp_path):
+    g = sample_graph()
+    sdir = tmp_path / "src"
+    with mockserver.MockEndpoint(g) as ep:
+        run_campaign([source(ep.url)], tmp_path, **campaign_kw())
+        stored = (sdir / "data.nt.gz").read_bytes()
+        before = len(ep.requests)
+        (sdir / "data.nt.gz").write_bytes(stored[:20])
+        (sdir / "outcomes.json").unlink()
+        (run,) = run_campaign([source(ep.url)], tmp_path, **campaign_kw())
+        assert len(ep.requests) > before
+    assert run.status == COMPLETE
+    assert not run.from_cache
+    assert [o.constraint_id for o in run.outcomes] == ["T-1"]
+    assert (sdir / "data.nt.gz").read_bytes() == stored
+    assert sorted(p.name for p in sdir.iterdir()) == ["data.nt.gz", "outcomes.json", "profile.json"]
+
+
 def test_campaign_marks_partial_sources_incomplete(tmp_path):
     g = sample_graph()
     with mockserver.MockEndpoint(g) as ep:
