@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .datatypes import SUPPORTED_DATATYPES
-from .terms import Iri, Literal, Term
+from .terms import Iri, Literal, SCHEME_RE, Term
 
 
 class Severity(enum.IntEnum):
@@ -36,10 +36,6 @@ class Severity(enum.IntEnum):
     @property
     def json_name(self) -> str:
         return ("info", "warning", "error")[self - 1]
-
-    @property
-    def label(self) -> str:
-        return ("informational", "warning", "error")[self - 1]
 
     @property
     def superscript(self) -> str:
@@ -77,7 +73,6 @@ class ConstraintFamily:
     params: tuple[ParamSlot, ...]
     expressivity: frozenset[str]
     executable: bool
-    requirement_id: str | None = None
     min_severity: Severity | None = None
     # Cross-parameter validation beyond per-slot kinds; returns problems.
     extra_check: Callable[[Mapping[str, object]], list[str]] | None = None
@@ -137,7 +132,6 @@ def _f(
     expressivity: Iterable[str],
     *,
     executable: bool = True,
-    requirement_id: str | None = None,
     min_severity: Severity | None = None,
     extra_check=None,
 ) -> ConstraintFamily:
@@ -151,7 +145,6 @@ def _f(
         tuple(built),
         frozenset(expressivity),
         executable,
-        requirement_id,
         min_severity,
         extra_check,
     )
@@ -171,9 +164,8 @@ _EXECUTABLE = [
         "CONDITIONAL-PROPERTY",
         (("class", "class"), ("if-property", "property"), ("then-property", "property")),
         (SPARQL,),
-        requirement_id="R-71",
     ),
-    _f("MIN-QUALIFIED-CARDINALITY", _CARD_Q, (CL, RDFS_OWL), requirement_id="R-75", extra_check=_check_bound),
+    _f("MIN-QUALIFIED-CARDINALITY", _CARD_Q, (CL, RDFS_OWL), extra_check=_check_bound),
     _f("MAX-QUALIFIED-CARDINALITY", _CARD_Q, (CL, RDFS_OWL), extra_check=_check_bound),
     _f("EXACT-QUALIFIED-CARDINALITY", _CARD_Q, (CL, RDFS_OWL), extra_check=_check_bound),
     _f("MIN-UNQUALIFIED-CARDINALITY", _CARD_UNQ, (CL, RDFS_OWL), extra_check=_check_bound),
@@ -383,7 +375,6 @@ class Catalog:
 
 # The `{name}` syntax of constraint messages.
 PLACEHOLDER_RE = re.compile(r"\{([^{}]*)\}")
-_IRI_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 
 def _expand_iri(text: str, prefixes: Mapping[str, str]) -> Iri:
@@ -395,7 +386,7 @@ def _expand_iri(text: str, prefixes: Mapping[str, str]) -> Iri:
 
 def _term_from_text(text: str, prefixes: Mapping[str, str]) -> Term:
     head, sep, _ = text.partition(":")
-    if sep and (head in prefixes or _IRI_SCHEME_RE.match(text)):
+    if sep and (head in prefixes or SCHEME_RE.match(text)):
         return _expand_iri(text, prefixes)
     return Literal(text)
 
@@ -517,8 +508,6 @@ def _load_constraint(
         expressivity = frozenset(raw_expr) or frozenset((SPARQL,))
     else:
         local.append("expressivity must be an array of tag strings")
-        expressivity = frozenset((SPARQL,))
-    if not expressivity:
         expressivity = frozenset((SPARQL,))
 
     params: dict[str, object] = {}

@@ -12,7 +12,7 @@ import re
 from typing import Iterable
 
 from .graph import Graph, GraphBuilder
-from .terms import BlankNode, Iri, Literal, Triple, triple_text
+from .terms import BlankNode, Iri, Literal, Triple, XSD_STRING, triple_text
 
 
 class ParseError(ValueError):
@@ -183,15 +183,12 @@ def _add_lines(text: str, builder: GraphBuilder) -> None:
             o = literals.get(key)
             if o is None:
                 lexical = unescape_string(lex, lineno, m.start(6) - line_start + 1)
-                if lang is not None:
-                    term = Literal(lexical, language=lang)
-                elif dt is not None:
+                datatype = None
+                if dt is not None:
                     datatype = datatypes.get(dt)
                     if datatype is None:
                         datatype = datatypes[dt] = _make_iri(dt, lineno, m.start(8) - line_start)
-                    term = Literal(lexical, datatype=datatype)
-                else:
-                    term = Literal(lexical)
+                term = make_literal(lexical, lang, datatype, lineno, m.start(6) - line_start)
                 o = literals[key] = intern(term)
         add_ids(s, p, o)
 
@@ -201,6 +198,18 @@ def _make_iri(text: str, lineno: int, offset: int) -> Iri:
         return Iri(text)
     except ValueError as exc:
         raise ParseError(lineno, offset + 1, str(exc)) from None
+
+
+def make_literal(
+    lexical: str, language: str | None, datatype: Iri | None, line: int, column: int
+) -> Literal:
+    """The literal of a parsed string token whose opening quote is at
+    ``column``; a literal the term model rejects, such as an rdf:langString
+    without a language tag, raises ParseError there."""
+    try:
+        return Literal(lexical, datatype or XSD_STRING, language)
+    except ValueError as exc:
+        raise ParseError(line, column, str(exc)) from None
 
 
 def canonical_lines(lines: Iterable[str]) -> bytes:

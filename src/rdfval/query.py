@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .datatypes import is_valid_for_datatype, numeric_value, temporal_key
+from .datatypes import boolean_value, is_valid_for_datatype, numeric_value, temporal_key
 from .graph import Graph
 from .terms import Iri, Literal, Term, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING
 
@@ -411,9 +411,10 @@ class _ExprTypeError(Exception):
 
 
 def _boolean_value(lit: Literal) -> bool:
-    if lit.datatype != XSD_BOOLEAN or lit.lexical not in ("true", "false", "1", "0"):
+    value = boolean_value(lit)
+    if value is None:
         raise _ExprTypeError
-    return lit.lexical in ("true", "1")
+    return value
 
 
 def _term_of(row: Mapping[Variable, object], v: Variable, g: Graph) -> Term:

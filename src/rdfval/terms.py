@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 
@@ -30,9 +30,9 @@ class Iri(Term):
     text: str
 
     def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.text):
+        if not SCHEME_RE.match(self.text):
             raise ValueError(f"not an absolute IRI (missing scheme): {self.text!r}")
-        if _BAD_IRI_CHARS.search(self.text):
+        if BAD_IRI_CHARS.search(self.text):
             raise ValueError(f"forbidden character in IRI: {self.text!r}")
 
     def __repr__(self) -> str:

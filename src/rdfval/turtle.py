@@ -14,8 +14,8 @@ import re
 from urllib.parse import urljoin
 
 from .graph import Graph, GraphBuilder
-from .ntriples import ParseError, unescape_string
-from .terms import BlankNode, Iri, Literal, RDF_TYPE, Term
+from .ntriples import ParseError, make_literal, unescape_string
+from .terms import BlankNode, Iri, Literal, RDF_TYPE, SCHEME_RE, Term
 
 
 class UnsupportedFeature(ParseError):
@@ -167,7 +167,7 @@ class _TurtleParser:
     # ---- IRI handling -------------------------------------------------------
 
     def _resolve_iri(self, raw: str, tok: _Token) -> Iri:
-        if not re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*:", raw):
+        if not SCHEME_RE.match(raw):
             if self.base is None:
                 raise ParseError(tok.line, tok.column, f"relative IRI without a base: {raw!r}")
             raw = urljoin(self.base, raw)
@@ -293,17 +293,18 @@ class _TurtleParser:
     def _literal(self, tok: _Token) -> Literal:
         raw = tok.value[1:-1]
         lexical = unescape_string(raw, tok.line, tok.column + 1)
+        language = datatype = None
         nxt = self.peek()
         if nxt.kind == "LANGTAG":
             self.next()
-            return Literal(lexical, language=nxt.value[1:])
-        if nxt.kind == "DTSEP":
+            language = nxt.value[1:]
+        elif nxt.kind == "DTSEP":
             self.next()
             dtok = self.next()
-            if dtok.kind == "IRIREF" or dtok.kind == "PNAME":
-                return Literal(lexical, datatype=self._iri(dtok))
-            raise ParseError(dtok.line, dtok.column, "expected datatype IRI")
-        return Literal(lexical)
+            if dtok.kind != "IRIREF" and dtok.kind != "PNAME":
+                raise ParseError(dtok.line, dtok.column, "expected datatype IRI")
+            datatype = self._iri(dtok)
+        return make_literal(lexical, language, datatype, tok.line, tok.column)
 
     def _blank_property_list(self) -> BlankNode:
         open_tok = self.expect("LBRACKET", "'['")

@@ -2,7 +2,7 @@
 import math
 from fractions import Fraction
 
-from rdfval.datatypes import is_valid_for_datatype, numeric_value, temporal_key
+from rdfval.datatypes import boolean_value, is_valid_for_datatype, numeric_value, temporal_key
 from rdfval.terms import (
     Iri,
     Literal,
@@ -30,7 +30,7 @@ def bad(lexical, dt):
 def test_integer_lexicals():
     for lex in ("0", "5", "05", "-3", "+7", "0012"):
         ok(lex, XSD_INTEGER)
-    for lex in ("", "1.0", "abc", "1e2", " 1", "1 ", "+-1", "--1"):
+    for lex in ("", "1.0", "abc", "1e2", " 1", "1 ", "+-1", "--1", "1\n"):
         bad(lex, XSD_INTEGER)
 
 
@@ -65,7 +65,7 @@ def test_double_lexicals_and_specials():
 def test_date_respects_the_calendar():
     for lex in ("2015-06-01", "2016-02-29", "2000-02-29", "2015-06-01Z", "2015-06-01+05:30"):
         ok(lex, XSD_DATE)
-    for lex in ("2015-02-29", "2015-02-30", "1900-02-29", "2015-13-01", "2015-00-10", "2015-6-1", "2015-06-32"):
+    for lex in ("2015-02-29", "2015-02-30", "1900-02-29", "2015-13-01", "2015-00-10", "2015-6-1", "2015-06-32", "2015-06-01\n"):
         bad(lex, XSD_DATE)
 
 
@@ -77,7 +77,7 @@ def test_datetime_needs_time_part():
         "2015-06-01T24:00:00",
     ):
         ok(lex, XSD_DATETIME)
-    for lex in ("2015-06-01", "2015-06-01T24:00:01", "2015-06-01T25:00:00", "2015-06-01 12:00:00"):
+    for lex in ("2015-06-01", "2015-06-01T24:00:01", "2015-06-01T25:00:00", "2015-06-01 12:00:00", "2015-06-01\nT12:00:00"):
         bad(lex, XSD_DATETIME)
 
 
@@ -120,3 +120,35 @@ def test_temporal_key_orders_dates_and_datetimes_together():
     assert temporal_key(Literal("2015", XSD_GYEAR)) < d
     assert temporal_key(Literal("not a date", XSD_DATE)) is None
     assert temporal_key(Literal("5", XSD_INTEGER)) is None
+
+
+def test_temporal_key_values():
+    assert temporal_key(Literal("2015-06-01T24:00:00", XSD_DATETIME)) == (2015, 6, 1, 24, 0, Fraction(0))
+    assert temporal_key(Literal("2015-06-01T12:00:07.25+02:00", XSD_DATETIME))[5] == Fraction(29, 4)
+    assert temporal_key(Literal("-0500", XSD_GYEAR))[0] == -500
+
+
+def test_numeric_value_edges():
+    assert numeric_value(Literal("-0", XSD_NON_NEGATIVE_INTEGER)) is None
+    assert numeric_value(Literal("+INF", XSD_DOUBLE)) == math.inf
+
+
+def test_boolean_value():
+    values = [boolean_value(Literal(lex, XSD_BOOLEAN)) for lex in ("true", "false", "1", "0")]
+    assert values == [True, False, True, False]
+    assert boolean_value(Literal("yes", XSD_BOOLEAN)) is None
+    assert boolean_value(Literal("true")) is None
+    assert boolean_value(Literal("1", XSD_INTEGER)) is None
+
+
+def test_values_past_the_int_digit_limit_stay_exact():
+    digits = "9" * 5000
+    assert is_valid_for_datatype(digits, XSD_INTEGER)
+    assert is_valid_for_datatype(digits + ".5", XSD_DECIMAL)
+    leap_year = "1" + "0" * 4999
+    assert is_valid_for_datatype(leap_year + "-02-29", XSD_DATE)
+    assert not is_valid_for_datatype(digits + "-02-29", XSD_DATE)
+    big = numeric_value(Literal(digits, XSD_INTEGER))
+    assert 10**4999 < big < 10**5000 and big == 10**5000 - 1
+    assert numeric_value(Literal("-" + digits + ".5", XSD_DECIMAL)) < -(10**4999)
+    assert temporal_key(Literal(digits, XSD_GYEAR)) > temporal_key(Literal("2015", XSD_GYEAR))

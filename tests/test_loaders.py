@@ -19,7 +19,7 @@ from rdfval.graph import GraphBuilder
 from rdfval.graphio import load_graph
 from rdfval.ntriples import ParseError, parse_ntriples
 from rdfval.packs import FIXTURES
-from rdfval.terms import BlankNode, Iri, Literal, XSD_STRING, term_text
+from rdfval.terms import BlankNode, Iri, Literal, RDF_LANGSTRING, XSD_STRING, term_text
 from rdfval.turtle import parse_turtle_subset
 
 _SHORT_ESCAPES = {"\t": "t", "\b": "b", "\n": "n", "\r": "r", "\f": "f", '"': '"', "\\": "\\"}
@@ -157,6 +157,10 @@ GOOD = "<urn:ex:s> <urn:ex:p> <urn:ex:o> .\n"
         # A predicate IRI that was fine as a subject elsewhere is still checked.
         (GOOD + "<urn:ex:s> <urn:ex:p> <urn:ex:o> .\r\n<urn:ex:s> <p> <urn:ex:o> .\r\n",
          3, 13, "missing scheme"),
+        # An rdf:langString literal without a tag, after the tagged spelling.
+        (GOOD + '<urn:ex:s> <urn:ex:p> "x"@en .\n<urn:ex:s>  <urn:ex:p> "x"^^<' + RDF_LANGSTRING.text
+         + '> .\n<urn:ex:s> <urn:ex:p> "x"^^<' + RDF_LANGSTRING.text + "> .\n",
+         3, 24, "requires a language tag"),
     ],
 )
 def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
@@ -180,6 +184,8 @@ def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
         ("@prefix ex: <urn:ex:> .\nex:s ex:p 12 .\n", 2, 11, "numeric"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p ( ex:o ) .\n", 2, 11, "collection"),
         ("ex:s <urn:ex:p> <urn:ex:o> .\n", 1, 1, "undeclared prefix"),
+        ("@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+         '<urn:ex:s> <urn:ex:p> "x"@en, "x"^^rdf:langString .\n', 2, 31, "requires a language tag"),
     ],
 )
 def test_turtle_errors_keep_their_position(text, line, column, reason):
