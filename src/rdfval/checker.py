@@ -29,12 +29,10 @@ from .query import (
     LangMatches,
     NotExists,
     Pattern,
-    Pipeline,
     Plan,
     PlanError,
     Regex,
     SameLanguage,
-    Stage,
     TriplePattern as TP,
     Var,
     Variable,
@@ -121,10 +119,8 @@ _NOT = Constant(FALSE)
 
 
 def _union(patterns: list[Pattern], focus, path=None, value=None) -> Plan:
-    pipelines: list[Pipeline] = []
-    for p in patterns:
-        pipelines.extend(plan(p).pipelines)
-    return Plan(tuple(pipelines), focus, path, value)
+    pipelines = tuple(pipeline for p in patterns for pipeline in plan(p).pipelines)
+    return Plan(pipelines, focus, path, value)
 
 
 def _int_lit(n: int) -> Constant:
@@ -313,8 +309,7 @@ def _language_cardinality(params) -> Plan:
 def _acyclicity(params) -> Plan:
     p = params["property"]
     depth = params.get("max-depth", DEFAULT_CYCLE_DEPTH)
-    probe = CycleProbe(_X, p, depth)
-    return Plan((Pipeline((Stage((probe,)),)),), _X, p)
+    return _union([CycleProbe(_X, p, depth)], _X, p)
 
 
 def _allowed_values(params) -> Plan:
@@ -438,22 +433,24 @@ def _display(term: Term | None) -> str:
     return f"_:{term.label}"
 
 
-def _render_message(c: Constraint, focus: Term, path: Iri | None, value: Term | None) -> str:
-    substitutions: dict[str, str] = {
-        "focus": _display(focus),
-        "path": _display(path),
-        "value": _display(value),
-    }
+def _parameter_texts(c: Constraint) -> dict[str, str]:
+    """The message substitution of each of the constraint's parameters."""
+    texts: dict[str, str] = {}
     for name, pvalue in c.params.items():
         if isinstance(pvalue, Term):
-            substitutions[name] = _display(pvalue)
+            texts[name] = _display(pvalue)
         elif isinstance(pvalue, tuple):
-            substitutions[name] = ", ".join(_display(t) for t in pvalue)
+            texts[name] = ", ".join(_display(t) for t in pvalue)
         else:
-            substitutions[name] = str(pvalue)
-    return PLACEHOLDER_RE.sub(
-        lambda m: substitutions.get(m.group(1), m.group(0)), c.message
-    )
+            texts[name] = str(pvalue)
+    return texts
+
+
+def _render_message(c: Constraint, parameters: dict[str, str], focus: Term, path, value) -> str:
+    # A parameter named focus, path or value shadows the violation's own.
+    substitutions = {"focus": _display(focus), "path": _display(path), "value": _display(value)}
+    substitutions.update(parameters)
+    return PLACEHOLDER_RE.sub(lambda m: substitutions.get(m.group(1), m.group(0)), c.message)
 
 
 def _sort_key(v: Violation):
@@ -512,8 +509,9 @@ def _run_constraint(
             c.id, ENGINE_FAILURE, reason=str(exc), wall_time=time.monotonic() - start
         )
 
+    parameters = _parameter_texts(c)
     violations = [
-        Violation(c.id, c.severity, focus, path, value, _render_message(c, focus, path, value))
+        Violation(c.id, c.severity, focus, path, value, _render_message(c, parameters, focus, path, value))
         for focus, path, value in found
     ]
     violations.sort(key=_sort_key)

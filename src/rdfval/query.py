@@ -1,10 +1,16 @@
 """Conjunctive pattern evaluation over frozen graphs.
 
 The pattern language is deliberately small: triple patterns joined by And,
-negation as failure (NotExists), expression filters, and grouped counting.
-Plans are unions of linear pipelines; each pipeline is a nested-loop join
-over the graph's sorted indexes, so result order is deterministic for a
-given graph and pattern.
+negation as failure (NotExists), expression filters, grouped counting and
+a depth-bounded cycle probe.  Plans are unions of linear pipelines; each
+pipeline is a nested-loop join over the graph's sorted indexes, so result
+order is deterministic for a given graph and pattern.
+
+Planning gives every variable and constant of a pipeline a slot; a row is
+a list of graph ids indexed by slot, except that a GroupCount's `into`
+slot holds its count literal.  Each triple pattern is laid out once, so
+one scan routine serves joins and NotExists probes alike: a NotExists runs
+its inner steps on the same row and stops at the first match.
 
 Comparison semantics (documented here because filters depend on them):
 numeric literals compare by value with integer → decimal → double
@@ -166,12 +172,19 @@ class GroupCount(Pattern):
         object.__setattr__(self, "into", into)
 
 
+@dataclass(frozen=True, slots=True)
+class CycleProbe(Pattern):
+    """Binds `variable` to each subject of `property` that can reach itself
+    via `property` within `max_depth` hops.  It runs before the triple
+    patterns of its segment, and its variable must not be bound before it."""
+
+    variable: Variable
+    property: Iri
+    max_depth: int
+
+
 # ---------------------------------------------------------------------------
 # Variable discovery
-
-
-def _tp_vars(tp: TriplePattern) -> set[Variable]:
-    return {a for a in (tp.subject, tp.predicate, tp.object) if isinstance(a, Variable)}
 
 
 def expr_vars(e: Expr) -> set[Variable]:
@@ -188,7 +201,7 @@ def expr_vars(e: Expr) -> set[Variable]:
 
 def _pattern_uses(p: Pattern) -> set[Variable]:
     if isinstance(p, TriplePattern):
-        return _tp_vars(p)
+        return {a for a in (p.subject, p.predicate, p.object) if isinstance(a, Variable)}
     if isinstance(p, And):
         out: set[Variable] = set()
         for part in p.parts:
@@ -198,37 +211,42 @@ def _pattern_uses(p: Pattern) -> set[Variable]:
         return _pattern_uses(p.pattern)
     if isinstance(p, Filter):
         return expr_vars(p.expr)
+    if isinstance(p, CycleProbe):
+        return {p.variable}
     return set(p.group_vars)
 
 
 # ---------------------------------------------------------------------------
 # Plans
 
+# Slot 0 of every row is never written: a position a scan binds reads None
+# from it, which leaves that position open in the index lookup.  The slot
+# of a constant the graph lacks holds _ABSENT, which nothing matches.
+_OPEN = 0
+_ABSENT = -1
+_Slots = Mapping[Atom, int]
+
 
 @dataclass(frozen=True, slots=True)
-class _FilterStep:
-    expr: Expr
+class _Scan:
+    """A triple pattern laid out over its pipeline's slots.  `key` reads
+    the slot of each constant or bound variable, `_OPEN` elsewhere; the
+    (position, slot) pairs of `binds` are bound by the scan, those of
+    `counts` hold a count literal to look up, and the (position, position)
+    pairs of `same` are a repeated variable that must match itself."""
+
+    key: tuple[int, int, int]
+    binds: tuple[tuple[int, int], ...]
+    same: tuple[tuple[int, int], ...]
+    counts: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
 class _AntiJoin:
-    pipeline: "Pipeline"
-    # Set when the inner pattern is a single triple pattern with distinct
-    # variables; existence can then be probed without the pipeline machinery.
-    simple: "TriplePattern | None" = None
+    stages: tuple["Stage", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CycleProbe:
-    """Emits one row per subject of `property` that can reach itself via
-    `property` within `max_depth` hops.  Always a row-producing first step."""
-
-    variable: Variable
-    property: Iri
-    max_depth: int
-
-
-Step = Union[TriplePattern, _FilterStep, _AntiJoin, CycleProbe]
+Step = Union[_Scan, Filter, _AntiJoin, CycleProbe]
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,7 +257,13 @@ class Stage:
 
 @dataclass(frozen=True, slots=True)
 class Pipeline:
+    """Stages over one row layout.  `slots` numbers every variable and
+    constant of the pipeline, NotExists parts included, from 1; `out`
+    pairs each variable in scope at the end with its slot."""
+
     stages: tuple[Stage, ...]
+    slots: _Slots
+    out: tuple[tuple[Variable, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,46 +304,76 @@ def _flatten(p: Pattern) -> list[Pattern]:
     return [p]
 
 
-def _order_segment(
-    items: list[Pattern],
-    incoming: set[Variable],
-    problems: list[str],
-) -> tuple[Step, ...]:
-    """Greedy step ordering for one pipeline segment.
+def _slot(slots: dict[Atom, int], atom: Atom) -> int:
+    return slots.setdefault(atom, len(slots) + 1)
 
-    Triple patterns are picked most-bound-first; filters and anti-joins are
-    placed at the earliest point where every variable they share with the
-    segment is bound.
+
+def _lay_out(tp: TriplePattern, slots: dict[Atom, int], bound: dict[Variable, bool]) -> _Scan:
+    """Lay out a triple pattern and add its variables to `bound`, which
+    maps each bound variable to whether its slot holds a count literal."""
+    key: list[int] = []
+    binds, same, counts = [], [], []
+    first: dict[Variable, int] = {}
+    for pos, atom in enumerate((tp.subject, tp.predicate, tp.object)):
+        if not isinstance(atom, Variable) or bound.get(atom) is False:
+            key.append(_slot(slots, atom))
+            continue
+        key.append(_OPEN)
+        if atom in bound:
+            counts.append((pos, slots[atom]))
+        elif atom in first:
+            same.append((pos, first[atom]))
+        else:
+            first[atom] = pos
+            binds.append((pos, _slot(slots, atom)))
+    bound.update(dict.fromkeys(first, False))
+    return _Scan(tuple(key), tuple(binds), tuple(same), tuple(counts))
+
+
+def _order_segment(
+    items: list[Pattern], slots: dict[Atom, int], bound: dict[Variable, bool], problems: list[str]
+) -> tuple[Step, ...]:
+    """Greedy step ordering for one pipeline segment; `bound` gains the
+    variables the segment binds, in binding order.
+
+    Triple patterns are picked most-bound-first; cycle probes, filters and
+    anti-joins are placed at the earliest point where every variable they
+    share with the segment is bound.
     """
-    segment_binds: set[Variable] = set()
-    for item in items:
-        if isinstance(item, TriplePattern):
-            segment_binds |= _tp_vars(item)
-    in_scope = incoming | segment_binds
+    binders = [item for item in items if isinstance(item, (TriplePattern, CycleProbe))]
+    in_scope = bound.keys() | _pattern_uses(And(binders))
 
     steps: list[Step] = []
     pending = list(items)
-    bound = set(incoming)
     while pending:
         placed = None
         for item in pending:
-            if isinstance(item, Filter):
+            if isinstance(item, CycleProbe):
+                if item.variable in bound:
+                    problems.append(f"cycle probe variable ?{item.variable.name} is already bound")
+                _slot(slots, item.variable)
+                _slot(slots, item.property)
+                bound[item.variable] = False
+                steps.append(item)
+                placed = item
+                break
+            elif isinstance(item, Filter):
                 used = expr_vars(item.expr)
                 if not used <= in_scope:
                     missing = sorted(v.name for v in used - in_scope)
                     problems.append(f"filter references unbound ?{', ?'.join(missing)}")
                     placed = item
                     break
-                if used <= bound:
+                if used <= bound.keys():
                     _validate_expr(item.expr, problems)
-                    steps.append(_FilterStep(item.expr))
+                    steps.append(item)
                     placed = item
                     break
             elif isinstance(item, NotExists):
                 shared = _pattern_uses(item.pattern) & in_scope
-                if shared <= bound:
-                    inner = plan(item.pattern, _outer=bound)
-                    steps.append(_AntiJoin(inner.pipelines[0], _simple_tp(item.pattern)))
+                if shared <= bound.keys():
+                    inner, _ = _plan_stages(item.pattern, slots, dict(bound), problems)
+                    steps.append(_AntiJoin(inner))
                     placed = item
                     break
         if placed is not None:
@@ -339,22 +393,37 @@ def _order_segment(
                 best, best_score = item, score
         if best is None:
             break
-        steps.append(best)
-        bound |= _tp_vars(best)
+        steps.append(_lay_out(best, slots, bound))
         pending.remove(best)
     return tuple(steps)
 
 
-def _simple_tp(p: Pattern) -> TriplePattern | None:
-    if not isinstance(p, TriplePattern):
-        return None
-    vars_seen = [a for a in (p.subject, p.predicate, p.object) if isinstance(a, Variable)]
-    if len(vars_seen) != len(set(vars_seen)):
-        return None
-    return p
+def _plan_stages(
+    p: Pattern, slots: dict[Atom, int], bound: dict[Variable, bool], problems: list[str]
+) -> tuple[tuple[Stage, ...], dict[Variable, bool]]:
+    """The stages of a pattern planned after `bound`, and what is bound
+    after them."""
+    stages: list[Stage] = []
+    segment: list[Pattern] = []
+    for item in _flatten(p):
+        if isinstance(item, GroupCount):
+            stages.append(Stage(_order_segment(segment, slots, bound, problems), group=item))
+            for v in item.group_vars:
+                if v not in bound:
+                    problems.append(f"group variable ?{v.name} is never bound")
+            _slot(slots, item.into)
+            bound = {v: bound.get(v, False) for v in item.group_vars}
+            bound[item.into] = True
+            segment = []
+        else:
+            segment.append(item)
+    ordered = _order_segment(segment, slots, bound, problems)
+    if ordered or not stages:
+        stages.append(Stage(ordered))
+    return tuple(stages), bound
 
 
-def plan(p: Pattern, *, _outer: set[Variable] | None = None) -> Plan:
+def plan(p: Pattern) -> Plan:
     """Compile a pattern to a single-pipeline plan.
 
     Raises PlanError when a Filter, NotExists, or GroupCount references a
@@ -362,35 +431,12 @@ def plan(p: Pattern, *, _outer: set[Variable] | None = None) -> Plan:
     depend on the pattern alone, never on graph statistics.
     """
     problems: list[str] = []
-    items = _flatten(p)
-    incoming = set(_outer or ())
-
-    stages: list[Stage] = []
-    segment: list[Pattern] = []
-    bound = set(incoming)
-    for item in items:
-        if isinstance(item, GroupCount):
-            available = bound | {
-                v
-                for part in segment
-                if isinstance(part, TriplePattern)
-                for v in _tp_vars(part)
-            }
-            for v in item.group_vars:
-                if v not in available:
-                    problems.append(f"group variable ?{v.name} is never bound")
-            stages.append(Stage(_order_segment(segment, bound, problems), group=item))
-            bound = set(item.group_vars) | {item.into}
-            segment = []
-        else:
-            segment.append(item)
-    ordered = _order_segment(segment, bound, problems)
-    if ordered or not stages:
-        stages.append(Stage(ordered))
-
+    slots: dict[Atom, int] = {}
+    stages, bound = _plan_stages(p, slots, {}, problems)
     if problems:
         raise PlanError("; ".join(problems))
-    return Plan(pipelines=(Pipeline(tuple(stages)),))
+    out = tuple((v, slots[v]) for v in bound)
+    return Plan(pipelines=(Pipeline(stages, slots, out),))
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +463,9 @@ def _boolean_value(lit: Literal) -> bool:
     return value
 
 
-def _term_of(row: Mapping[Variable, object], v: Variable, g: Graph) -> Term:
-    got = row.get(v)
-    if got is None:
-        raise _ExprTypeError
-    return g.term(got) if isinstance(got, int) else got  # type: ignore[return-value]
+def _term(g: Graph, value) -> Term:
+    """The term a slot holds: a graph id, or a count literal."""
+    return g.term(value) if isinstance(value, int) else value
 
 
 def _apply_cmp(op: str, a, b) -> bool:
@@ -464,14 +508,14 @@ def _compare_terms(op: str, a: Term, b: Term) -> bool:
     raise _ExprTypeError
 
 
-def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
+def _eval_expr(e: Expr, row: list, slots: _Slots, g: Graph):
     if isinstance(e, Constant):
         return e.term
     if isinstance(e, Var):
-        return _term_of(row, e.variable, g)
+        return _term(g, row[slots[e.variable]])
     if isinstance(e, Compare):
-        lhs = _eval_expr(e.lhs, row, g)
-        rhs = _eval_expr(e.rhs, row, g)
+        lhs = _eval_expr(e.lhs, row, slots, g)
+        rhs = _eval_expr(e.rhs, row, slots, g)
         if isinstance(lhs, bool) or isinstance(rhs, bool):
             if isinstance(lhs, Literal):
                 lhs = _boolean_value(lhs)
@@ -482,7 +526,7 @@ def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
             return _apply_cmp(e.op, lhs, rhs)
         return _compare_terms(e.op, lhs, rhs)
     if isinstance(e, Regex):
-        t = _term_of(row, e.variable, g)
+        t = _term(g, row[slots[e.variable]])
         if isinstance(t, Literal):
             text = t.lexical
         elif isinstance(t, Iri):
@@ -491,12 +535,12 @@ def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
             raise _ExprTypeError
         return _compiled(e.pattern).search(text) is not None
     if isinstance(e, IsValidForDatatype):
-        t = _term_of(row, e.variable, g)
+        t = _term(g, row[slots[e.variable]])
         if not isinstance(t, Literal):
             raise _ExprTypeError
         return is_valid_for_datatype(t.lexical, e.datatype or t.datatype)
     if isinstance(e, LangMatches):
-        t = _term_of(row, e.variable, g)
+        t = _term(g, row[slots[e.variable]])
         if not isinstance(t, Literal):
             raise _ExprTypeError
         if t.language is None:
@@ -504,23 +548,23 @@ def _eval_expr(e: Expr, row: Mapping[Variable, object], g: Graph):
         rng = e.language_range.lower()
         return rng == "*" or t.language == rng or t.language.startswith(rng + "-")
     if isinstance(e, SameLanguage):
-        a = _term_of(row, e.left, g)
-        b = _term_of(row, e.right, g)
+        a = _term(g, row[slots[e.left]])
+        b = _term(g, row[slots[e.right]])
         if not (isinstance(a, Literal) and isinstance(b, Literal)):
             raise _ExprTypeError
         if a.language is None or b.language is None:
             return False
         return a.language == b.language
     if isinstance(e, IsIri):
-        return isinstance(_term_of(row, e.variable, g), Iri)
+        return isinstance(_term(g, row[slots[e.variable]]), Iri)
     if isinstance(e, IsLiteral):
-        return isinstance(_term_of(row, e.variable, g), Literal)
+        return isinstance(_term(g, row[slots[e.variable]]), Literal)
     raise _ExprTypeError
 
 
-def _filter_accepts(expr: Expr, row: Mapping[Variable, object], g: Graph) -> bool:
+def _filter_accepts(expr: Expr, row: list, slots: _Slots, g: Graph) -> bool:
     try:
-        value = _eval_expr(expr, row, g)
+        value = _eval_expr(expr, row, slots, g)
     except _ExprTypeError:
         return False
     if isinstance(value, bool):
@@ -535,6 +579,8 @@ def _filter_accepts(expr: Expr, row: Mapping[Variable, object], g: Graph) -> boo
 
 # ---------------------------------------------------------------------------
 # Pipeline execution
+# Steps bind slots in place and never clear them.  The plan reads a slot
+# only where it is bound; a caller reads what it keeps before resuming.
 
 
 class _Ticker:
@@ -552,109 +598,56 @@ class _Ticker:
             raise BudgetExceeded
 
 
-def _scan(g: Graph, tp: TriplePattern, row: dict, ticker: _Ticker):
-    """Yield the row once per match, with this pattern's fresh variables
-    bound; bindings are removed again when the generator resumes, so any
-    retained row must be copied by the consumer."""
-    slots = (tp.subject, tp.predicate, tp.object)
-    fixed: list[int | None] = [None, None, None]
-    for i, atom in enumerate(slots):
-        if isinstance(atom, Variable):
-            got = row.get(atom)
-            if got is None:
-                continue
-            if isinstance(got, int):
-                fixed[i] = got
-            else:
-                tid = g.term_id(got)
-                if tid is None:
-                    return
-                fixed[i] = tid
-        else:
-            tid = g.term_id(atom)
-            if tid is None:
-                return
-            fixed[i] = tid
-    fresh: list[tuple[int, Variable]] = []
-    seen_vars: set[Variable] = set()
-    for i, atom in enumerate(slots):
-        if fixed[i] is None and isinstance(atom, Variable) and atom not in seen_vars:
-            fresh.append((i, atom))
-            seen_vars.add(atom)
-    for match in g.match_ids(fixed[0], fixed[1], fixed[2]):
+def _scan(g: Graph, step: _Scan, row: list, ticker: _Ticker):
+    """Yield the row once per match, with the step's slots bound."""
+    s, p, o = step.key
+    key = [row[s], row[p], row[o]]
+    for pos, slot in step.counts:
+        tid = g.term_id(row[slot])
+        key[pos] = _ABSENT if tid is None else tid
+    if _ABSENT in key:
+        return
+    for match in g.match_ids(*key):
         ticker.tick()
-        ok = True
-        for i, atom in fresh:
-            row[atom] = match[i]
-        for i, atom in enumerate(slots):
-            # A variable repeated within the pattern must match itself;
-            # slots with a fixed id already agree by construction.
-            if fixed[i] is None and row[atom] != match[i]:
-                ok = False
-                break
-        if ok:
-            yield row
-        for _, atom in fresh:
-            row.pop(atom, None)
+        if step.same and any(match[i] != match[j] for i, j in step.same):
+            continue
+        for pos, slot in step.binds:
+            row[slot] = match[pos]
+        yield row
 
 
-def _probe_exists(g: Graph, tp: TriplePattern, row: dict) -> bool:
-    probe: list[int | None] = [None, None, None]
-    for i, atom in enumerate((tp.subject, tp.predicate, tp.object)):
-        if isinstance(atom, Variable):
-            got = row.get(atom)
-            if got is None:
-                continue
-            if not isinstance(got, int):
-                got = g.term_id(got)
-                if got is None:
-                    return False
-            probe[i] = got
-        else:
-            tid = g.term_id(atom)
-            if tid is None:
-                return False
-            probe[i] = tid
-    for _ in g.match_ids(probe[0], probe[1], probe[2]):
-        return True
-    return False
-
-
-def _run_steps(g: Graph, steps: tuple[Step, ...], i: int, row: dict, ticker: _Ticker):
+def _run_steps(
+    g: Graph, slots: _Slots, steps: tuple[Step, ...], i: int, row: list, ticker: _Ticker
+):
     if i == len(steps):
         yield row
         return
     step = steps[i]
-    if isinstance(step, TriplePattern):
-        for _ in _scan(g, step, row, ticker):
-            yield from _run_steps(g, steps, i + 1, row, ticker)
-    elif isinstance(step, _FilterStep):
+    if isinstance(step, _Scan):
+        rows = _scan(g, step, row, ticker)
+    elif isinstance(step, Filter):
         ticker.tick()
-        if _filter_accepts(step.expr, row, g):
-            yield from _run_steps(g, steps, i + 1, row, ticker)
+        rows = (row,) if _filter_accepts(step.expr, row, slots, g) else ()
     elif isinstance(step, _AntiJoin):
         ticker.tick()
-        if step.simple is not None:
-            hit = _probe_exists(g, step.simple, row)
-        else:
-            hit = False
-            for _ in _run_pipeline(g, step.pipeline, dict(row), ticker):
-                hit = True
-                break
-        if not hit:
-            yield from _run_steps(g, steps, i + 1, row, ticker)
+        rows = (row,) if next(_run_stages(g, slots, step.stages, row, ticker), None) is None else ()
     else:
-        for _ in _cycle_starts(g, step, row, ticker):
-            yield from _run_steps(g, steps, i + 1, row, ticker)
+        rows = _cycle_starts(g, slots, step, row, ticker)
+    if i + 1 == len(steps):
+        yield from rows
+    else:
+        for _ in rows:
+            yield from _run_steps(g, slots, steps, i + 1, row, ticker)
 
 
-def _cycle_starts(g: Graph, step: CycleProbe, row: dict, ticker: _Ticker):
-    pid = g.term_id(step.property)
-    if pid is None:
+def _cycle_starts(g: Graph, slots: _Slots, step: CycleProbe, row: list, ticker: _Ticker):
+    pid = row[slots[step.property]]
+    if pid == _ABSENT:
         return
     succ: dict[int, list[int]] = {}
     for s, _, o in g.match_ids(None, pid, None):
         succ.setdefault(s, []).append(o)
+    slot = slots[step.variable]
     for start in sorted(succ):
         ticker.tick()
         frontier = [start]
@@ -677,35 +670,40 @@ def _cycle_starts(g: Graph, step: CycleProbe, row: dict, ticker: _Ticker):
                 break
             frontier = nxt
         if found:
-            row[step.variable] = start
+            row[slot] = start
             yield row
-            row.pop(step.variable, None)
 
 
-def _group(gc: GroupCount, rows, ticker: _Ticker):
+def _group(gc: GroupCount, slots: _Slots, rows, base: list, ticker: _Ticker):
+    """One fresh row per group, copied from `base` for its constants."""
+    keys = [slots[v] for v in gc.group_vars]
     counts: dict[tuple, int] = {}
     for row in rows:
         ticker.tick()
-        key = tuple(row.get(v) for v in gc.group_vars)
+        key = tuple([row[s] for s in keys])
         counts[key] = counts.get(key, 0) + 1
+    into = slots[gc.into]
     for key, n in counts.items():
-        out = dict(zip(gc.group_vars, key))
-        out[gc.into] = Literal(str(n), XSD_INTEGER)
+        out = base.copy()
+        for s, value in zip(keys, key):
+            out[s] = value
+        out[into] = Literal(str(n), XSD_INTEGER)
         yield out
 
 
-def _stage_rows(g: Graph, stage: Stage, rows, ticker: _Ticker):
+def _stage_rows(g: Graph, slots: _Slots, stage: Stage, rows, ticker: _Ticker):
     for row in rows:
-        yield from _run_steps(g, stage.steps, 0, row, ticker)
+        yield from _run_steps(g, slots, stage.steps, 0, row, ticker)
 
 
-def _run_pipeline(g: Graph, pipeline: Pipeline, row: dict, ticker: _Ticker):
-    rows = iter((row,))
-    for stage in pipeline.stages:
-        rows = _stage_rows(g, stage, rows, ticker)
-        if stage.group is not None:
-            rows = _group(stage.group, rows, ticker)
-    return rows
+def _run_stages(g: Graph, slots: _Slots, stages: tuple[Stage, ...], row: list, ticker: _Ticker):
+    """The rows of `stages` run from `row`; every stage but the last ends in
+    a group."""
+    rows = _run_steps(g, slots, stages[0].steps, 0, row, ticker)
+    for stage, after in zip(stages, stages[1:]):
+        rows = _stage_rows(g, slots, after, _group(stage.group, slots, rows, row, ticker), ticker)
+    last = stages[-1].group
+    return rows if last is None else _group(last, slots, rows, row, ticker)
 
 
 def run_plan(
@@ -715,11 +713,14 @@ def run_plan(
     ticker = _Ticker(deadline)
     ticker.tick()
     for pipeline in p.pipelines:
-        for row in _run_pipeline(g, pipeline, {}, ticker):
-            yield {
-                v: (g.term(val) if isinstance(val, int) else val)
-                for v, val in row.items()
-            }
+        slots = pipeline.slots
+        row: list = [None] * (len(slots) + 1)
+        for atom, slot in slots.items():
+            if not isinstance(atom, Variable):
+                tid = g.term_id(atom)
+                row[slot] = _ABSENT if tid is None else tid
+        for done in _run_stages(g, slots, pipeline.stages, row, ticker):
+            yield {v: _term(g, done[s]) for v, s in pipeline.out}
 
 
 def evaluate(

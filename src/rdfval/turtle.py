@@ -123,10 +123,10 @@ def _reject(text: str, pos: int, line: int, col: int) -> None:
 
 
 class _TurtleParser:
-    def __init__(self, text: str, base: str | None):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.base = base
+        self.base: str | None = None
         self.prefixes: dict[str, str] = {}
         self.builder = GraphBuilder()
         # IRIREF/PNAME token text -> its checked IRI, valid until the next
@@ -319,9 +319,7 @@ class _TurtleParser:
         return node
 
 
-def parse_turtle_subset(
-    data: bytes | str, base: str | None = None, name: str | None = None
-) -> Graph:
+def parse_turtle_subset(data: bytes | str, name: str | None = None) -> Graph:
     """Parse the supported Turtle subset into a frozen Graph."""
     if isinstance(data, bytes):
         try:
@@ -332,7 +330,7 @@ def parse_turtle_subset(
     else:
         text = data
     del data  # frees input bytes the caller passed without keeping
-    parser = _TurtleParser(text, base)
+    parser = _TurtleParser(text)
     del text
     parser.parse()
     builder = parser.builder

@@ -846,11 +846,13 @@ def random_family_params(rng, family_id: str) -> dict:
 
 
 VARS = tuple(Variable(name) for name in "abcdef")
+COUNT = Variable("count")
 
 
 def random_pattern(rng, g: Graph):
     """A plannable pattern over a graph's own vocabulary: up to four
-    triple patterns, at most one NotExists and one Filter."""
+    triple patterns, at most one NotExists and one Filter, and sometimes a
+    closing GroupCount, half of those followed by a filter on the count."""
     triples = list(g)
     subjects = [t.subject for t in triples] or [Iri("urn:ex:n0")]
     preds = sorted({t.predicate for t in triples}, key=term_text) or [PROPS[0]]
@@ -931,6 +933,13 @@ def random_pattern(rng, g: Graph):
         )
 
     rng.shuffle(parts)
+    # Drawn after everything else, so that a group leaves the rest of the
+    # pattern as it was drawn.
+    if rng.random() < 0.3 and outer_bound:
+        parts.append(GroupCount(rng.sample(outer_bound, rng.randint(1, len(outer_bound))), COUNT))
+        if rng.random() < 0.5:
+            op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+            parts.append(Filter(Compare(op, Var(COUNT), Constant(_int_lit(rng.randint(0, 3))))))
     return parts[0] if len(parts) == 1 else And(parts)
 
 

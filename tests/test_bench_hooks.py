@@ -30,6 +30,22 @@ def test_bench_tracer_installs_and_restores_every_wrapper(monkeypatch):
     assert (rdfval.cli.load_graph, rdfval.checker.run_plan) == originals
 
 
+def test_bench_counters_see_the_engine(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    graph, catalog = rdfval.packs.load_fixture("cube-gaps"), rdfval.packs.load_pack("qb")
+    counts = layers.CountPass()
+    p = layers._Patches()
+    try:
+        counts.install(p)
+        rdfval.checker.check(graph, catalog)
+    finally:
+        p.restore()
+    for name in ("match_calls", "query_rows", "numeric_value"):
+        assert counts.total(name) > 0, name
+
+
 def test_bench_tracer_sees_every_load(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers

@@ -267,6 +267,20 @@ def test_group_count_then_filter():
     assert [r[A] for r in rows(SMALL, p)] == [iri("s1")]
 
 
+def test_group_count_joins_back_into_a_triple_pattern():
+    two, one, d = iri("two"), iri("one"), Variable("d")
+    g = graph(
+        (iri("s1"), iri("p"), iri("o1")),
+        (iri("s1"), iri("p"), iri("o2")),
+        (iri("s2"), iri("p"), iri("o1")),
+        (two, iri("q"), Literal("2", XSD_INTEGER)),
+        (one, iri("q"), Literal("1", XSD_INTEGER)),
+    )
+    p = And([TriplePattern(A, iri("p"), B), GroupCount((A,), C), TriplePattern(d, iri("q"), C)])
+    got = sorted((r[A].text, r[d].text, r[C].lexical) for r in rows(g, p))
+    assert got == [(EX + "s1", EX + "two", "2"), (EX + "s2", EX + "one", "1")]
+
+
 def test_group_count_of_nothing_is_no_rows():
     p = And(
         [
