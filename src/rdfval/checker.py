@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .catalog import PLACEHOLDER_RE, Catalog, Constraint, IMPLEMENTED, Severity
 from .graph import Graph, GraphBuilder
@@ -446,21 +447,13 @@ def _parameter_texts(c: Constraint) -> dict[str, str]:
     return texts
 
 
-def _render_message(c: Constraint, parameters: dict[str, str], focus: Term, path, value) -> str:
+def _render_message(c: Constraint, parameters: dict[str, str], focus: str, path: str, value: str) -> str:
+    """The message for a violation whose focus, path and value display as
+    the given texts."""
     # A parameter named focus, path or value shadows the violation's own.
-    substitutions = {"focus": _display(focus), "path": _display(path), "value": _display(value)}
+    substitutions = {"focus": focus, "path": path, "value": value}
     substitutions.update(parameters)
     return PLACEHOLDER_RE.sub(lambda m: substitutions.get(m.group(1), m.group(0)), c.message)
-
-
-def _sort_key(v: Violation):
-    return (
-        _display(v.focus),
-        v.focus.__class__.__name__,
-        _display(v.path) if v.path else "",
-        _display(v.value) if v.value else "",
-        v.value.__class__.__name__ if v.value else "",
-    )
 
 
 def _run_constraint(
@@ -510,11 +503,20 @@ def _run_constraint(
         )
 
     parameters = _parameter_texts(c)
+    # Each violation's focus, path and value are displayed once, for the
+    # sort key and the message. `ordered` replaces `found`, which is
+    # emptied so that a large outcome is not held twice.
+    ordered = []
+    for focus, path, value in found:
+        value_kind = "" if value is None else value.__class__.__name__
+        texts = (_display(focus), focus.__class__.__name__, _display(path), _display(value), value_kind)
+        ordered.append((texts, focus, path, value))
+    found.clear()
+    ordered.sort(key=itemgetter(0))
     violations = [
-        Violation(c.id, c.severity, focus, path, value, _render_message(c, parameters, focus, path, value))
-        for focus, path, value in found
+        Violation(c.id, c.severity, focus, path, value, _render_message(c, parameters, t[0], t[2], t[3]))
+        for t, focus, path, value in ordered
     ]
-    violations.sort(key=_sort_key)
     elapsed = time.monotonic() - start
     if truncated:
         return CheckOutcome(

@@ -13,7 +13,7 @@ validate as true (conservative non-flagging; catalog lint reports them).
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
 from typing import Callable
 
@@ -41,7 +41,7 @@ _DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 _DOUBLE_RE = re.compile(
     r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN"
 )
-_TIMEZONE = r"(?:Z|[+-](?:0[0-9]|1[0-4]):[0-5][0-9])?"
+_TIMEZONE = r"(?P<tz>Z|[+-](?:0[0-9]|1[0-4]):[0-5][0-9])?"
 _YEAR_MONTH_DAY = r"(-?[0-9]{4,})-([0-9]{2})-([0-9]{2})"
 _DATE_RE = re.compile(_YEAR_MONTH_DAY + _TIMEZONE)
 _DATETIME_RE = re.compile(
@@ -52,6 +52,12 @@ _GYEAR_RE = re.compile(r"(-?(?:[1-9][0-9]{3,}|0[0-9]{3}))" + _TIMEZONE)
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _ZERO = Fraction(0)
+# The widest zone offset in minutes: an unzoned time may be any instant
+# this close to its local reading.
+_MAX_OFFSET = 14 * 60
+# Years past the int digit limit are Decimals; this context adds to them
+# without rounding.
+_EXACT = Context(prec=MAX_PREC)
 
 
 def _exact(convert: Callable[[str], int | Fraction], text: str) -> int | Fraction | Decimal:
@@ -77,23 +83,58 @@ def _double(lexical: str) -> float | None:
     return float(lexical) if _DOUBLE_RE.fullmatch(lexical) else None
 
 
-def _calendar_key(m: re.Match, hour: int, minute: int, second: Fraction | Decimal) -> tuple | None:
-    """Sortable key of a matched year-month-day, or None off the calendar."""
-    month, day = int(m[2]), int(m[3])
-    if not 1 <= month <= 12 or day < 1:
+def _month_days(year: int | Decimal, month: int) -> int:
+    if month != 2:
+        return _DAYS_IN_MONTH[month - 1]
+    # The last four digits fix the year modulo 400.
+    y = int(str(year)[-4:])
+    return 29 if y % 4 == 0 and (y % 100 != 0 or y % 400 == 0) else 28
+
+
+def _next_year(year: int | Decimal, step: int) -> int | Decimal:
+    return _EXACT.add(year, step) if isinstance(year, Decimal) else year + step
+
+
+def _shift(key: tuple, minutes: int) -> tuple:
+    """A calendar key moved by less than a day either way; an hour of 24
+    carries into the next day."""
+    year, month, day, hour, minute, second = key
+    days, minute = divmod(hour * 60 + minute + minutes, 1440)
+    if days > 0:
+        if day < _month_days(year, month):
+            day += 1
+        elif month < 12:
+            month, day = month + 1, 1
+        else:
+            year, month, day = _next_year(year, 1), 1, 1
+    elif days < 0:
+        if day > 1:
+            day -= 1
+        elif month > 1:
+            month, day = month - 1, _month_days(year, month - 1)
+        else:
+            year, month, day = _next_year(year, -1), 12, 31
+    return (year, month, day, minute // 60, minute % 60, second)
+
+
+def _calendar_value(m: re.Match, month: int, day: int, hour: int, minute: int, second) -> tuple | None:
+    """The temporal value ``(key, zoned)`` of a match whose group 1 is the
+    year, or None off the calendar. A key is sortable; that of a zoned
+    value is its UTC instant, that of an unzoned one its local time."""
+    year = _exact(int, m[1])
+    if not 1 <= month <= 12 or not 1 <= day <= _month_days(year, month):
         return None
-    if day > _DAYS_IN_MONTH[month - 1]:
-        # Only 29 February of a leap year lies past its month's table
-        # length. The last four digits fix the year modulo 400.
-        y = int(m[1][-4:])
-        if not (month == 2 and day == 29 and y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)):
-            return None
-    return (_exact(int, m[1]), month, day, hour, minute, second)
+    key = (year, month, day, hour, minute, second)
+    tz = m["tz"]
+    if tz is None:
+        return key, False
+    offset = 0 if tz == "Z" else int(tz[0] + "1") * (int(tz[1:3]) * 60 + int(tz[4:]))
+    return _shift(key, -offset), True
 
 
 def _date(lexical: str) -> tuple | None:
     m = _DATE_RE.fullmatch(lexical)
-    return None if m is None else _calendar_key(m, 0, 0, _ZERO)
+    return None if m is None else _calendar_value(m, int(m[2]), int(m[3]), 0, 0, _ZERO)
 
 
 def _date_time(lexical: str) -> tuple | None:
@@ -107,12 +148,12 @@ def _date_time(lexical: str) -> tuple | None:
             return None
     elif hour > 23 or minute > 59 or second >= 60:
         return None
-    return _calendar_key(m, hour, minute, second)
+    return _calendar_value(m, int(m[2]), int(m[3]), hour, minute, second)
 
 
 def _gyear(lexical: str) -> tuple | None:
     m = _GYEAR_RE.fullmatch(lexical)
-    return None if m is None else (_exact(int, m[1]), 1, 1, 0, 0, _ZERO)
+    return None if m is None else _calendar_value(m, 1, 1, 0, 0, _ZERO)
 
 
 def _any_uri(lexical: str) -> str | None:
@@ -160,10 +201,40 @@ def numeric_value(lit: Literal) -> int | Fraction | float | Decimal | None:
     return None if parse is None else parse(lit.lexical)
 
 
-def temporal_key(lit: Literal) -> tuple | None:
-    """Sortable key for date/dateTime/gYear literals, or None if invalid."""
+def temporal_value(lit: Literal) -> tuple[tuple, bool] | None:
+    """``(key, zoned)`` of a date/dateTime/gYear literal, or None if it is
+    invalid or of another datatype. The key is a sortable tuple: the UTC
+    instant of a zoned value, the local time of an unzoned one."""
     parse = _TEMPORAL.get(lit.datatype)
     return None if parse is None else parse(lit.lexical)
+
+
+def temporal_key(lit: Literal) -> tuple | None:
+    """The key of ``temporal_value``. Keys of two zoned or of two unzoned
+    values order them; ``temporal_order`` orders a mixed pair."""
+    value = temporal_value(lit)
+    return None if value is None else value[0]
+
+
+def temporal_order(a: tuple[tuple, bool], b: tuple[tuple, bool]) -> int | None:
+    """-1, 0 or 1 as the temporal value `a` is before, at or after `b`.
+
+    Two zoned values compare by instant and two unzoned ones by local
+    time. A zoned and an unzoned value are ordered only where the order
+    holds whatever zone the unzoned one is in (XSD 1.1 Part 2, §3.3.7:
+    more than 14 hours apart); otherwise the result is None.
+    """
+    (ka, zoned), (kb, b_zoned) = a, b
+    if zoned == b_zoned:
+        return (ka > kb) - (ka < kb)
+    if not zoned:
+        order = temporal_order(b, a)
+        return None if order is None else -order
+    if ka < _shift(kb, -_MAX_OFFSET):
+        return -1
+    if ka > _shift(kb, _MAX_OFFSET):
+        return 1
+    return None
 
 
 def boolean_value(lit: Literal) -> bool | None:

@@ -2,24 +2,36 @@
 
 The pattern language is deliberately small: triple patterns joined by And,
 negation as failure (NotExists), expression filters, grouped counting and
-a depth-bounded cycle probe.  Plans are unions of linear pipelines; each
-pipeline is a nested-loop join over the graph's sorted indexes, so result
-order is deterministic for a given graph and pattern.
+a depth-bounded cycle probe.  Plans are unions of linear pipelines of
+index scans over the graph's sorted indexes, so result order is
+deterministic for a given graph and pattern.
 
 Planning gives every variable and constant of a pipeline a slot; a row is
 a list of graph ids indexed by slot, except that a GroupCount's `into`
-slot holds its count literal.  Each triple pattern is laid out once, so
-one scan routine serves joins and NotExists probes alike: a NotExists runs
-its inner steps on the same row and stops at the first match.
+slot holds its count literal.  Each triple pattern is laid out once.
+
+run_plan compiles each pipeline, once per call and against the graph,
+into nested closures `row -> stop`, after Neumann, "Efficiently Compiling
+Efficient Query Plans for Modern Hardware" (VLDB 2011).  A scan calls the
+next step's closure once per match, a filter's expression tree is
+compiled to closures, and a true result stops every enclosing loop, which
+is how a NotExists body ends at its first match.  A scan that needs a
+constant the graph lacks compiles to no rows.  Only the outermost loop of
+a pipeline is a generator, so results stream: a caller that stops early
+leaves the rest of that loop unrun.  Comparisons read a literal memo that
+lives for one run_plan call, so each literal is parsed once per run.
 
 Comparison semantics (documented here because filters depend on them):
 numeric literals compare by value with integer → decimal → double
-promotion; date, dateTime, and gYear literals compare by temporal value;
-boolean literals compare by value under = and != only; plain strings
-order bytewise; = and != on any other pair of same-kind terms is term
-identity.  Everything else (ordering IRIs, mixing kinds) is a type error,
-which makes the enclosing filter reject the binding rather than abort the
-evaluation.
+promotion; date, dateTime, and gYear literals compare by temporal value
+(XSD 1.1 Part 2, §3.3.7): two zoned values by UTC instant, two unzoned
+ones by local time, and a zoned with an unzoned one only where they are
+more than 14 hours apart, so that the order holds in every zone; boolean
+literals compare by value under = and != only; plain strings order
+bytewise; = and != on any other pair of same-kind terms is term identity.
+Everything else (ordering IRIs, mixing kinds, an indeterminate temporal
+order) is a type error, which makes the enclosing filter reject the
+binding rather than abort the evaluation.
 
 Evaluation is read-only; any number of evaluations may share one graph.
 """
@@ -28,9 +40,10 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import Iterator, Mapping, Union
 
-from .datatypes import boolean_value, is_valid_for_datatype, numeric_value, temporal_key
+from .datatypes import boolean_value, is_valid_for_datatype, numeric_value, temporal_order, temporal_value
 from .graph import Graph
 from .terms import Iri, Literal, Term, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING
 
@@ -440,9 +453,13 @@ def plan(p: Pattern) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Compilation
+# Steps bind slots in place and never clear them.  The plan reads a slot
+# only where it is bound; a caller reads what it keeps before resuming.
 
 _REGEX_CACHE: dict[str, re.Pattern] = {}
+
+_OPS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def _compiled(pattern: str) -> re.Pattern:
@@ -456,6 +473,16 @@ class _ExprTypeError(Exception):
     """Expression type error; the enclosing filter rejects the binding."""
 
 
+def _type_error(row: list) -> bool:
+    raise _ExprTypeError
+
+
+def _literal(t: Term) -> Literal:
+    if not isinstance(t, Literal):
+        raise _ExprTypeError
+    return t
+
+
 def _boolean_value(lit: Literal) -> bool:
     value = boolean_value(lit)
     if value is None:
@@ -463,264 +490,397 @@ def _boolean_value(lit: Literal) -> bool:
     return value
 
 
-def _term(g: Graph, value) -> Term:
-    """The term a slot holds: a graph id, or a count literal."""
-    return g.term(value) if isinstance(value, int) else value
+def _stop(row: list) -> bool:
+    return True
 
 
-def _apply_cmp(op: str, a, b) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+def _push(rows, nxt):
+    """The closure that pushes each row of a generator function into nxt."""
 
-
-def _compare_terms(op: str, a: Term, b: Term) -> bool:
-    if isinstance(a, Literal) and isinstance(b, Literal):
-        na, nb = numeric_value(a), numeric_value(b)
-        if na is not None and nb is not None:
-            return _apply_cmp(op, na, nb)
-        ka, kb = temporal_key(a), temporal_key(b)
-        if ka is not None and kb is not None:
-            return _apply_cmp(op, ka, kb)
-        if a.datatype == XSD_BOOLEAN and b.datatype == XSD_BOOLEAN:
-            if op in ("=", "!="):
-                return _apply_cmp(op, _boolean_value(a), _boolean_value(b))
-            raise _ExprTypeError
-        if op in ("=", "!="):
-            same = a.lexical == b.lexical and a.datatype == b.datatype and a.language == b.language
-            return same if op == "=" else not same
-        if a.datatype == XSD_STRING and b.datatype == XSD_STRING:
-            return _apply_cmp(op, a.lexical, b.lexical)
-        raise _ExprTypeError
-    if isinstance(a, Literal) or isinstance(b, Literal):
-        raise _ExprTypeError
-    if op in ("=", "!="):
-        same = a == b
-        return same if op == "=" else not same
-    raise _ExprTypeError
-
-
-def _eval_expr(e: Expr, row: list, slots: _Slots, g: Graph):
-    if isinstance(e, Constant):
-        return e.term
-    if isinstance(e, Var):
-        return _term(g, row[slots[e.variable]])
-    if isinstance(e, Compare):
-        lhs = _eval_expr(e.lhs, row, slots, g)
-        rhs = _eval_expr(e.rhs, row, slots, g)
-        if isinstance(lhs, bool) or isinstance(rhs, bool):
-            if isinstance(lhs, Literal):
-                lhs = _boolean_value(lhs)
-            if isinstance(rhs, Literal):
-                rhs = _boolean_value(rhs)
-            if not (isinstance(lhs, bool) and isinstance(rhs, bool)) or e.op not in ("=", "!="):
-                raise _ExprTypeError
-            return _apply_cmp(e.op, lhs, rhs)
-        return _compare_terms(e.op, lhs, rhs)
-    if isinstance(e, Regex):
-        t = _term(g, row[slots[e.variable]])
-        if isinstance(t, Literal):
-            text = t.lexical
-        elif isinstance(t, Iri):
-            text = t.text
-        else:
-            raise _ExprTypeError
-        return _compiled(e.pattern).search(text) is not None
-    if isinstance(e, IsValidForDatatype):
-        t = _term(g, row[slots[e.variable]])
-        if not isinstance(t, Literal):
-            raise _ExprTypeError
-        return is_valid_for_datatype(t.lexical, e.datatype or t.datatype)
-    if isinstance(e, LangMatches):
-        t = _term(g, row[slots[e.variable]])
-        if not isinstance(t, Literal):
-            raise _ExprTypeError
-        if t.language is None:
-            return False
-        rng = e.language_range.lower()
-        return rng == "*" or t.language == rng or t.language.startswith(rng + "-")
-    if isinstance(e, SameLanguage):
-        a = _term(g, row[slots[e.left]])
-        b = _term(g, row[slots[e.right]])
-        if not (isinstance(a, Literal) and isinstance(b, Literal)):
-            raise _ExprTypeError
-        if a.language is None or b.language is None:
-            return False
-        return a.language == b.language
-    if isinstance(e, IsIri):
-        return isinstance(_term(g, row[slots[e.variable]]), Iri)
-    if isinstance(e, IsLiteral):
-        return isinstance(_term(g, row[slots[e.variable]]), Literal)
-    raise _ExprTypeError
-
-
-def _filter_accepts(expr: Expr, row: list, slots: _Slots, g: Graph) -> bool:
-    try:
-        value = _eval_expr(expr, row, slots, g)
-    except _ExprTypeError:
+    def push(row: list) -> bool:
+        for r in rows(row):
+            if nxt(r):
+                return True
         return False
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Literal):
-        try:
-            return _boolean_value(value)
-        except _ExprTypeError:
-            return False
-    return False
+
+    return push
 
 
-# ---------------------------------------------------------------------------
-# Pipeline execution
-# Steps bind slots in place and never clear them.  The plan reads a slot
-# only where it is bound; a caller reads what it keeps before resuming.
+def _ticker(deadline: float | None):
+    """Called once per unit of work; every 1024th call checks the deadline."""
+    if deadline is None:
+        return lambda: None
+    count = 0
 
-
-class _Ticker:
-    __slots__ = ("deadline", "count")
-
-    def __init__(self, deadline: float | None):
-        self.deadline = deadline
-        self.count = 0
-
-    def tick(self) -> None:
-        if self.deadline is None:
-            return
-        self.count += 1
-        if self.count & 1023 == 1 and time.monotonic() > self.deadline:
+    def tick() -> None:
+        nonlocal count
+        count += 1
+        if count & 1023 == 1 and time.monotonic() > deadline:
             raise BudgetExceeded
 
-
-def _scan(g: Graph, step: _Scan, row: list, ticker: _Ticker):
-    """Yield the row once per match, with the step's slots bound."""
-    s, p, o = step.key
-    key = [row[s], row[p], row[o]]
-    for pos, slot in step.counts:
-        tid = g.term_id(row[slot])
-        key[pos] = _ABSENT if tid is None else tid
-    if _ABSENT in key:
-        return
-    for match in g.match_ids(*key):
-        ticker.tick()
-        if step.same and any(match[i] != match[j] for i, j in step.same):
-            continue
-        for pos, slot in step.binds:
-            row[slot] = match[pos]
-        yield row
+    return tick
 
 
-def _run_steps(
-    g: Graph, slots: _Slots, steps: tuple[Step, ...], i: int, row: list, ticker: _Ticker
-):
-    if i == len(steps):
-        yield row
-        return
-    step = steps[i]
-    if isinstance(step, _Scan):
-        rows = _scan(g, step, row, ticker)
-    elif isinstance(step, Filter):
-        ticker.tick()
-        rows = (row,) if _filter_accepts(step.expr, row, slots, g) else ()
-    elif isinstance(step, _AntiJoin):
-        ticker.tick()
-        rows = (row,) if next(_run_stages(g, slots, step.stages, row, ticker), None) is None else ()
-    else:
-        rows = _cycle_starts(g, slots, step, row, ticker)
-    if i + 1 == len(steps):
-        yield from rows
-    else:
-        for _ in rows:
-            yield from _run_steps(g, slots, steps, i + 1, row, ticker)
+def _literal_memo(g: Graph):
+    """`entry(value)`: for a slot value or term that is a literal, the
+    entry (term, numeric value, temporal value), parsed once per memo; for
+    any other term, the term itself."""
+    memo: dict = {}
+    term = g.term
+
+    def entry(value):
+        e = memo.get(value)
+        if e is None:
+            t = term(value) if value.__class__ is int else value
+            if not isinstance(t, Literal):
+                return t
+            e = memo[value] = (t, numeric_value(t), temporal_value(t))
+        return e
+
+    return entry
 
 
-def _cycle_starts(g: Graph, slots: _Slots, step: CycleProbe, row: list, ticker: _Ticker):
-    pid = row[slots[step.property]]
-    if pid == _ABSENT:
-        return
-    succ: dict[int, list[int]] = {}
-    for s, _, o in g.match_ids(None, pid, None):
-        succ.setdefault(s, []).append(o)
-    slot = slots[step.variable]
-    for start in sorted(succ):
-        ticker.tick()
-        frontier = [start]
-        visited: set[int] = set()
-        found = False
-        for _ in range(step.max_depth):
-            nxt: list[int] = []
-            for node in frontier:
-                for o in succ.get(node, ()):
-                    ticker.tick()
-                    if o == start:
-                        found = True
+def _compare(apply, a, b) -> bool:
+    """`apply`, an operator of _OPS, over two memo entries or other terms."""
+    if a.__class__ is tuple and b.__class__ is tuple:
+        if a[1] is not None and b[1] is not None:
+            return apply(a[1], b[1])
+        if a[2] is not None and b[2] is not None:
+            order = temporal_order(a[2], b[2])
+            if order is None:
+                raise _ExprTypeError
+            return apply(order, 0)
+        a, b = a[0], b[0]
+        equality = apply is eq or apply is ne
+        if a.datatype == XSD_BOOLEAN and b.datatype == XSD_BOOLEAN:
+            if equality:
+                return apply(_boolean_value(a), _boolean_value(b))
+            raise _ExprTypeError
+        if equality:
+            return apply(a, b)
+        if a.datatype == XSD_STRING and b.datatype == XSD_STRING:
+            return apply(a.lexical, b.lexical)
+        raise _ExprTypeError
+    if a.__class__ is tuple or b.__class__ is tuple or not (apply is eq or apply is ne):
+        raise _ExprTypeError
+    return apply(a, b)
+
+
+class _Compiler:
+    """Compiles one pipeline against a graph.  `row` is its initial row,
+    which holds the constants' ids; `tick` and `entry` serve a whole run."""
+
+    __slots__ = ("g", "slots", "row", "tick", "entry")
+
+    def __init__(self, g: Graph, slots: _Slots, row: list, tick, entry):
+        self.g, self.slots, self.row, self.tick, self.entry = g, slots, row, tick, entry
+
+    def outer(self, stages: tuple[Stage, ...], out: tuple[tuple[Variable, int], ...]):
+        """A generator function over the outermost loop of `stages`: the
+        first scan or cycle probe, or the groups of a grouping first stage.
+        After each turn with results it yields the list of their Term dicts
+        for the variables of `out`, and empties it when resumed."""
+        found: list[dict[Variable, Term]] = []
+        term = self.g.term
+
+        def emit(row: list) -> bool:
+            found.append({v: term(x) if (x := row[s]).__class__ is int else x for v, s in out})
+            return False
+
+        first, nxt = stages[0], self.stages(stages[1:], emit)
+        guard, steps = _stop, first.steps
+        loops = [i for i, step in enumerate(steps) if isinstance(step, (_Scan, CycleProbe))]
+        if first.group is not None:
+            rows = self.groups(first)
+        elif not loops:
+            rows, nxt = (lambda row: (row,)), self.steps(steps, nxt)
+        else:
+            i = loops[0]
+            rows = self.scan_rows(steps[i]) if isinstance(steps[i], _Scan) else self.cycle_rows(steps[i])
+            # The steps before the loop bind nothing: a row passes them if it
+            # reaches the end of their chain.
+            guard, nxt = self.steps(steps[:i], _stop), self.steps(steps[i + 1 :], nxt)
+
+        def drive(row: list):
+            if guard(row):
+                for r in rows(row):
+                    nxt(r)
+                    if found:
+                        yield found
+                        found.clear()
+
+        return drive
+
+    def stages(self, stages: tuple[Stage, ...], nxt):
+        for stage in reversed(stages):
+            if stage.group is None:
+                nxt = self.steps(stage.steps, nxt)
+            else:
+                nxt = _push(self.groups(stage), nxt)
+        return nxt
+
+    def steps(self, steps: tuple[Step, ...], nxt):
+        for step in reversed(steps):
+            if isinstance(step, _Scan):
+                nxt = self.scan(step, nxt)
+            elif isinstance(step, Filter):
+                nxt = self.filter(step.expr, nxt)
+            elif isinstance(step, _AntiJoin):
+                nxt = self.anti_join(step, nxt)
+            else:
+                nxt = _push(self.cycle_rows(step), nxt)
+        return nxt
+
+    def absent(self, step: _Scan) -> bool:
+        """Whether the scan needs a constant the graph lacks."""
+        return _ABSENT in (self.row[s] for s in step.key)
+
+    def scan(self, step: _Scan, nxt):
+        # Scans that bind one slot or none and check nothing, the common
+        # shapes, loop without a generator.
+        if step.same or step.counts or len(step.binds) > 1 or self.absent(step):
+            return _push(self.scan_rows(step), nxt)
+        (s, p, o), match, tick = step.key, self.g.match_ids, self.tick
+        if not step.binds:
+
+            def probe(row: list) -> bool:
+                for _ in match(row[s], row[p], row[o]):
+                    tick()
+                    if nxt(row):
+                        return True
+                return False
+
+            return probe
+        ((pos, slot),) = step.binds
+
+        def scan(row: list) -> bool:
+            for m in match(row[s], row[p], row[o]):
+                tick()
+                row[slot] = m[pos]
+                if nxt(row):
+                    return True
+            return False
+
+        return scan
+
+    def scan_rows(self, step: _Scan):
+        """A generator function that yields the row once per match, with
+        the step's slots bound."""
+        if self.absent(step):
+            return lambda row: ()
+        (s, p, o), binds, same, counts = step.key, step.binds, step.same, step.counts
+        match, term_id, tick = self.g.match_ids, self.g.term_id, self.tick
+
+        def rows(row: list):
+            key = [row[s], row[p], row[o]]
+            for pos, slot in counts:
+                key[pos] = term_id(row[slot])
+                if key[pos] is None:
+                    return
+            for m in match(*key):
+                tick()
+                if same and any(m[i] != m[j] for i, j in same):
+                    continue
+                for pos, slot in binds:
+                    row[slot] = m[pos]
+                yield row
+
+        return rows
+
+    def cycle_rows(self, step: CycleProbe):
+        """A generator function that yields the row once per subject of the
+        property that reaches itself within the depth, bound to the step's
+        variable."""
+        pid = self.row[self.slots[step.property]]
+        if pid == _ABSENT:
+            return lambda row: ()
+        slot, depth, match, tick = self.slots[step.variable], step.max_depth, self.g.match_ids, self.tick
+
+        def rows(row: list):
+            succ: dict[int, list[int]] = {}
+            for s, _, o in match(None, pid, None):
+                succ.setdefault(s, []).append(o)
+            for start in sorted(succ):
+                tick()
+                frontier = [start]
+                visited: set[int] = set()
+                found = False
+                for _ in range(depth):
+                    nxt: list[int] = []
+                    for node in frontier:
+                        for o in succ.get(node, ()):
+                            tick()
+                            if o == start:
+                                found = True
+                                break
+                            if o not in visited:
+                                visited.add(o)
+                                nxt.append(o)
+                        if found:
+                            break
+                    if found or not nxt:
                         break
-                    if o not in visited:
-                        visited.add(o)
-                        nxt.append(o)
+                    frontier = nxt
                 if found:
-                    break
-            if found or not nxt:
-                break
-            frontier = nxt
-        if found:
-            row[slot] = start
-            yield row
+                    row[slot] = start
+                    yield row
 
+        return rows
 
-def _group(gc: GroupCount, slots: _Slots, rows, base: list, ticker: _Ticker):
-    """One fresh row per group, copied from `base` for its constants."""
-    keys = [slots[v] for v in gc.group_vars]
-    counts: dict[tuple, int] = {}
-    for row in rows:
-        ticker.tick()
-        key = tuple([row[s] for s in keys])
-        counts[key] = counts.get(key, 0) + 1
-    into = slots[gc.into]
-    for key, n in counts.items():
-        out = base.copy()
-        for s, value in zip(keys, key):
-            out[s] = value
-        out[into] = Literal(str(n), XSD_INTEGER)
-        yield out
+    def groups(self, stage: Stage):
+        """A generator function that counts the rows the stage's steps push
+        from a row by group key, then yields one fresh row per group, copied
+        from that row, with the count in `into`."""
+        keys = [self.slots[v] for v in stage.group.group_vars]
+        into, tick = self.slots[stage.group.into], self.tick
+        key_of = itemgetter(*keys) if keys else (lambda row: ())
+        counts: dict = {}
 
+        def count(row: list) -> bool:
+            tick()
+            key = key_of(row)
+            counts[key] = counts.get(key, 0) + 1
+            return False
 
-def _stage_rows(g: Graph, slots: _Slots, stage: Stage, rows, ticker: _Ticker):
-    for row in rows:
-        yield from _run_steps(g, slots, stage.steps, 0, row, ticker)
+        run = self.steps(stage.steps, count)
 
+        def rows(row: list):
+            nonlocal counts
+            counts = mine = {}
+            run(row)
+            for key, n in mine.items():
+                out = row.copy()
+                for s, value in zip(keys, (key,) if len(keys) == 1 else key):
+                    out[s] = value
+                out[into] = Literal(str(n), XSD_INTEGER)
+                yield out
 
-def _run_stages(g: Graph, slots: _Slots, stages: tuple[Stage, ...], row: list, ticker: _Ticker):
-    """The rows of `stages` run from `row`; every stage but the last ends in
-    a group."""
-    rows = _run_steps(g, slots, stages[0].steps, 0, row, ticker)
-    for stage, after in zip(stages, stages[1:]):
-        rows = _stage_rows(g, slots, after, _group(stage.group, slots, rows, row, ticker), ticker)
-    last = stages[-1].group
-    return rows if last is None else _group(last, slots, rows, row, ticker)
+        return rows
+
+    def anti_join(self, step: _AntiJoin, nxt):
+        inner, tick = self.stages(step.stages, _stop), self.tick
+
+        def anti_join(row: list) -> bool:
+            tick()
+            return False if inner(row) else nxt(row)
+
+        return anti_join
+
+    def filter(self, e: Expr, nxt):
+        test, tick = self.flag(e), self.tick
+
+        def filter(row: list) -> bool:
+            tick()
+            try:
+                if not test(row):
+                    return False
+            except _ExprTypeError:
+                return False
+            return nxt(row)
+
+        return filter
+
+    def term(self, e: Var | Constant):
+        """`row -> Term` for a variable or constant."""
+        if isinstance(e, Constant):
+            t = e.term
+            return lambda row: t
+        s, term = self.slots[e.variable], self.g.term
+        return lambda row: term(v) if (v := row[s]).__class__ is int else v
+
+    def flag(self, e: Expr):
+        """`row -> bool` for an expression; a term counts as an xsd:boolean."""
+        if isinstance(e, (Var, Constant)):
+            get = self.term(e)
+            return lambda row: _boolean_value(_literal(get(row)))
+        if isinstance(e, Compare):
+            return self.compare(e)
+        if isinstance(e, SameLanguage):
+            left, right = self.term(Var(e.left)), self.term(Var(e.right))
+
+            def same_language(row: list) -> bool:
+                a, b = _literal(left(row)), _literal(right(row))
+                return a.language is not None and a.language == b.language
+
+            return same_language
+        get = self.term(Var(e.variable))
+        if isinstance(e, IsIri):
+            return lambda row: isinstance(get(row), Iri)
+        if isinstance(e, IsLiteral):
+            return lambda row: isinstance(get(row), Literal)
+        if isinstance(e, Regex):
+            search = _compiled(e.pattern).search
+
+            def regex(row: list) -> bool:
+                t = get(row)
+                return search(t.text if isinstance(t, Iri) else _literal(t).lexical) is not None
+
+            return regex
+        if isinstance(e, IsValidForDatatype):
+            datatype = e.datatype
+
+            def valid(row: list) -> bool:
+                t = _literal(get(row))
+                return is_valid_for_datatype(t.lexical, datatype or t.datatype)
+
+            return valid
+        rng = e.language_range.lower()
+
+        def lang_matches(row: list) -> bool:
+            tag = _literal(get(row)).language
+            return tag is not None and (rng == "*" or tag == rng or tag.startswith(rng + "-"))
+
+        return lang_matches
+
+    def compare(self, e: Compare):
+        apply, lhs, rhs, terms = _OPS[e.op], e.lhs, e.rhs, (Var, Constant)
+        if isinstance(lhs, terms) and isinstance(rhs, terms):
+            a, b = self.operand(lhs), self.operand(rhs)
+            return lambda row: _compare(apply, a(row), b(row))
+        # A boolean expression compares under = and != only, and against a
+        # constant it is itself or its negation.
+        if apply is not eq and apply is not ne:
+            return _type_error
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if isinstance(other, Constant):
+                value = boolean_value(other.term) if isinstance(other.term, Literal) else None
+                if value is None:
+                    return _type_error
+                f = self.flag(side)
+                return f if value == (apply is eq) else (lambda row: not f(row))
+        a, b = self.flag(lhs), self.flag(rhs)
+        return lambda row: apply(a(row), b(row))
+
+    def operand(self, e: Var | Constant):
+        """`row -> entry` of the literal memo, for a side of a comparison."""
+        entry = self.entry
+        if isinstance(e, Constant):
+            c = entry(e.term)
+            return lambda row: c
+        s = self.slots[e.variable]
+        return lambda row: entry(row[s])
 
 
 def run_plan(
     g: Graph, p: Plan, *, deadline: float | None = None
 ) -> Iterator[dict[Variable, Term]]:
-    """Execute a plan, yielding one fresh Term-valued dict per result row."""
-    ticker = _Ticker(deadline)
-    ticker.tick()
+    """Execute a plan, yielding one fresh Term-valued dict per result row.
+
+    Each pipeline is compiled when the iteration reaches it; the rows of
+    one turn of its outermost loop are built before the first is yielded.
+    """
+    tick = _ticker(deadline)
+    tick()
+    entry = _literal_memo(g)
     for pipeline in p.pipelines:
-        slots = pipeline.slots
-        row: list = [None] * (len(slots) + 1)
-        for atom, slot in slots.items():
+        row: list = [None] * (len(pipeline.slots) + 1)
+        for atom, slot in pipeline.slots.items():
             if not isinstance(atom, Variable):
                 tid = g.term_id(atom)
                 row[slot] = _ABSENT if tid is None else tid
-        for done in _run_stages(g, slots, pipeline.stages, row, ticker):
-            yield {v: _term(g, done[s]) for v, s in pipeline.out}
+        compiler = _Compiler(g, pipeline.slots, row, tick, entry)
+        for found in compiler.outer(pipeline.stages, pipeline.out)(row):
+            yield from found
 
 
 def evaluate(

@@ -1,5 +1,7 @@
 """Constraint compilation and outcome production on hand-built graphs."""
+import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from rdfval.catalog import (
     NOT_IMPLEMENTED,
     Severity,
 )
+import rdfval.checker
 from rdfval.catalog import Constraint
 from rdfval.checker import (
     CheckOutcome,
@@ -225,6 +228,50 @@ def test_exhausted_budget_is_an_engine_failure():
     assert outcome.status == ENGINE_FAILURE
     assert outcome.reason == "budget"
     assert outcome.violations == ()
+
+
+def test_limit_stops_the_constraint_after_a_bounded_number_of_rows(monkeypatch):
+    g = graph((iri("x"), iri("p"), iri("o")), *[(iri(f"s{i}"), RDF_TYPE, iri("C")) for i in range(2000)])
+    c = constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")})
+    rows = itertools.count()
+    run_plan = rdfval.checker.run_plan
+
+    def counted(*args, **kwargs):
+        for row in run_plan(*args, **kwargs):
+            next(rows)
+            yield row
+
+    monkeypatch.setattr(rdfval.checker, "run_plan", counted)
+    outcome = run_one(g, c, limit=1)
+    assert outcome.status == TRUNCATED and outcome.count == 1
+    # The first violation, and the second that shows the limit is reached.
+    assert next(rows) == 2
+
+
+# One focus with many values: once the first few ticks are past, the
+# evaluation is inside a NotExists body or a grouping stage.
+WIDE = graph(
+    (iri("s"), RDF_TYPE, iri("C")),
+    *[(iri("s"), iri("p"), Literal(f"v{i}")) for i in range(3000)],
+)
+
+
+@pytest.mark.parametrize(
+    "family_id, params",
+    [
+        ("LANGUAGE-TAG-CARDINALITY", {"class": iri("C"), "property": iri("p"), "required-language": "en"}),
+        ("MAX-UNQUALIFIED-CARDINALITY", {"class": iri("C"), "property": iri("p"), "bound": 1}),
+    ],
+)
+def test_deadline_passing_inside_nested_stages_is_an_engine_failure(monkeypatch, family_id, params):
+    c = constraint(family_id, params)
+    assert run_one(WIDE, c).status == VIOLATED
+    # The clock passes the deadline after the constraint's start and the
+    # engine's first check have read it.
+    reads = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if next(reads) < 2 else 1e9)
+    outcome = run_one(WIDE, c, budget=10.0)
+    assert (outcome.status, outcome.reason) == (ENGINE_FAILURE, "budget")
 
 
 def test_not_implemented_rows_are_reported_without_running():

@@ -2,7 +2,14 @@
 import math
 from fractions import Fraction
 
-from rdfval.datatypes import boolean_value, is_valid_for_datatype, numeric_value, temporal_key
+from rdfval.datatypes import (
+    boolean_value,
+    is_valid_for_datatype,
+    numeric_value,
+    temporal_key,
+    temporal_order,
+    temporal_value,
+)
 from rdfval.terms import (
     Iri,
     Literal,
@@ -152,3 +159,39 @@ def test_values_past_the_int_digit_limit_stay_exact():
     assert 10**4999 < big < 10**5000 and big == 10**5000 - 1
     assert numeric_value(Literal("-" + digits + ".5", XSD_DECIMAL)) < -(10**4999)
     assert temporal_key(Literal(digits, XSD_GYEAR)) > temporal_key(Literal("2015", XSD_GYEAR))
+
+
+def dt(lexical):
+    return Literal(lexical, XSD_DATETIME)
+
+
+def test_zoned_values_order_by_utc_instant():
+    # XSD 1.1 Part 2, 3.3.7: two timezoned values compare by instant.
+    assert temporal_key(dt("2015-06-01T12:00:00+05:00")) < temporal_key(dt("2015-06-01T08:00:00Z"))
+    assert temporal_key(dt("2015-06-01T12:00:00+05:00")) == temporal_key(dt("2015-06-01T07:00:00Z"))
+    assert temporal_key(dt("2015-06-01T23:30:00-01:00")) == temporal_key(dt("2015-06-02T00:30:00Z"))
+    assert temporal_key(dt("2016-03-01T01:00:00+02:00")) == temporal_key(dt("2016-02-29T23:00:00Z"))
+    assert temporal_key(dt("2015-12-31T24:00:00Z")) == temporal_key(dt("2016-01-01T00:00:00Z"))
+    assert temporal_key(Literal("2015-06-01+05:30", XSD_DATE)) == temporal_key(dt("2015-05-31T18:30:00Z"))
+    assert temporal_key(Literal("2015-14:00", XSD_GYEAR)) == temporal_key(dt("2015-01-01T14:00:00Z"))
+    # Unzoned values keep their local fields.
+    assert temporal_value(dt("2015-06-01T12:00:00")) == ((2015, 6, 1, 12, 0, Fraction(0)), False)
+    zoned, local = temporal_value(dt("2015-06-01T12:00:00Z")), temporal_value(dt("2015-06-01T13:00:00"))
+    assert temporal_order(zoned, zoned) == 0
+    assert temporal_order(local, local) == 0
+
+
+def test_zoned_and_unzoned_values_order_only_when_determinate():
+    # An unzoned value may sit in any zone from -14:00 to +14:00.
+    zoned = temporal_value(dt("2015-06-01T12:00:00Z"))
+
+    def order(lexical):
+        return temporal_order(zoned, temporal_value(dt(lexical)))
+
+    assert order("2015-06-02T02:00:01") == -1
+    assert order("2015-05-31T21:59:59") == 1
+    for lexical in ("2015-06-01T12:00:00", "2015-06-02T02:00:00", "2015-05-31T22:00:00", "2015-06-01T20:00:00"):
+        assert order(lexical) is None, lexical
+    assert temporal_order(temporal_value(dt("2015-06-02T02:00:01")), zoned) == 1
+    assert temporal_order(temporal_value(Literal("2015-06-03", XSD_DATE)), zoned) == 1
+    assert temporal_order(temporal_value(Literal("2015-06-02", XSD_DATE)), zoned) is None

@@ -1,9 +1,11 @@
 """Query kernel: planning errors, join semantics, filters, grouping, budgets."""
+import itertools
 import time
 
 import pytest
 
-from rdfval.graph import GraphBuilder
+import rdfval.query
+from rdfval.graph import Graph, GraphBuilder
 from rdfval.query import (
     And,
     BudgetExceeded,
@@ -28,7 +30,7 @@ from rdfval.query import (
     plan,
     run_plan,
 )
-from rdfval.terms import Iri, Literal, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER
+from rdfval.terms import Iri, Literal, RDF_TYPE, XSD_BOOLEAN, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
 
 EX = "urn:ex:"
 A, B, C = Variable("a"), Variable("b"), Variable("c")
@@ -365,3 +367,97 @@ def test_generous_deadline_does_not_interfere():
         )
     )
     assert len(got) == 3
+
+
+def count_match_calls(monkeypatch):
+    """Count Graph.match_ids calls from here on; returns the counter."""
+    calls = itertools.count()
+    match_ids = Graph.match_ids
+
+    def counted(*args):
+        next(calls)
+        return match_ids(*args)
+
+    monkeypatch.setattr(Graph, "match_ids", counted)
+    return calls
+
+
+def clock_passing_after(monkeypatch, reads):
+    """time.monotonic reads 0 for its first `reads` calls, then 1e9."""
+    calls = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if next(calls) < reads else 1e9)
+
+
+def test_run_plan_streams_its_outermost_loop(monkeypatch):
+    n = 2000
+    g = graph(
+        (iri("s0"), iri("p"), iri("o")),
+        *[(iri(f"s{i}"), RDF_TYPE, iri("C")) for i in range(1, n + 1)],
+    )
+    p = plan(And([TriplePattern(A, RDF_TYPE, iri("C")), NotExists(TriplePattern(A, iri("p"), B))]))
+    calls = count_match_calls(monkeypatch)
+    first = next(run_plan(g, p))
+    assert first == {A: iri("s1")}
+    # One outer scan and the first subject's probe, not one probe per subject.
+    assert next(calls) <= 3
+    assert len(list(run_plan(g, p))) == n
+
+
+# One subject with many values: past the first few ticks, all work is
+# inside the NotExists body or the grouping stage.
+WIDE = graph(
+    (iri("s"), RDF_TYPE, iri("C")),
+    *[(iri("s"), iri("p"), Literal(f"v{i}")) for i in range(3000)],
+)
+
+
+def test_deadline_passing_inside_not_exists_body_raises(monkeypatch):
+    inner = And([TriplePattern(A, iri("p"), B), Filter(LangMatches(B, "en"))])
+    p = plan(And([TriplePattern(A, RDF_TYPE, iri("C")), NotExists(inner)]))
+    assert list(run_plan(WIDE, p, deadline=time.monotonic() + 60)) == [{A: iri("s")}]
+    clock_passing_after(monkeypatch, 1)
+    with pytest.raises(BudgetExceeded):
+        list(run_plan(WIDE, p, deadline=10.0))
+
+
+def test_deadline_passing_inside_group_count_raises(monkeypatch):
+    n = Variable("n")
+    p = plan(And([TriplePattern(A, RDF_TYPE, iri("C")), TriplePattern(A, iri("p"), B), GroupCount([A], n)]))
+    assert list(run_plan(WIDE, p, deadline=time.monotonic() + 60)) == [{A: iri("s"), n: Literal("3000", XSD_INTEGER)}]
+    clock_passing_after(monkeypatch, 1)
+    with pytest.raises(BudgetExceeded):
+        list(run_plan(WIDE, p, deadline=10.0))
+
+
+def test_literal_values_are_parsed_once_per_run(monkeypatch):
+    values = [Literal(str(i % 3), XSD_INTEGER) for i in range(600)]
+    g = graph(*[(iri(f"s{i}"), iri("q"), v) for i, v in enumerate(values)])
+    calls = itertools.count()
+    numeric_value = rdfval.query.numeric_value
+
+    def counted(lit):
+        next(calls)
+        return numeric_value(lit)
+
+    monkeypatch.setattr(rdfval.query, "numeric_value", counted)
+    p = plan(And([TriplePattern(A, iri("q"), B), Filter(Compare(">", Var(B), Constant(Literal("1", XSD_INTEGER))))]))
+    assert len(list(run_plan(g, p))) == 200
+    # Three distinct values and the constant.
+    assert next(calls) == 4
+    assert len(list(run_plan(g, p))) == 200
+    assert next(calls) == 9
+
+
+def test_filter_orders_datetimes_by_instant():
+    values = {
+        "2015-06-01T12:00:00+05:00": True,  # 07:00Z
+        "2015-06-01T09:00:00+01:00": False,  # 08:00Z, the same instant
+        "2015-05-31T12:00:00": True,  # before 08:00Z in every zone
+        "2015-06-01T12:00:00": None,  # order indeterminate: a type error
+    }
+    g = graph(*[(iri(f"s{i}"), iri("t"), Literal(lex, XSD_DATETIME)) for i, lex in enumerate(values)])
+    cutoff = Constant(Literal("2015-06-01T08:00:00Z", XSD_DATETIME))
+    before = rows(g, And([TriplePattern(A, iri("t"), B), Filter(Compare("<", Var(B), cutoff))]))
+    assert {r[B].lexical for r in before} == {lex for lex, less in values.items() if less}
+    not_before = rows(g, And([TriplePattern(A, iri("t"), B), Filter(Compare(">=", Var(B), cutoff))]))
+    assert {r[B].lexical for r in not_before} == {lex for lex, less in values.items() if less is False}
