@@ -1,14 +1,21 @@
 """Immutable indexed triple store.
 
 Each distinct term is interned once and referenced by a dense integer id.
-The three orderings (SPO, POS, OSP) are sorted lists of packed integer
-triples, so a lookup with any bound prefix is a pair of bisections. Graphs
-are immutable once built; builders are single-writer.
+The three orderings (SPO, POS, OSP) are sorted sequences of packed integer
+triples, so a lookup with any bound prefix is a pair of bisections. SPO and
+POS are built at freeze; OSP serves only lookups with the object bound and
+the predicate unbound, which validation never makes, so it is built on the
+first such lookup. While a packed triple fits in 64 bits (up to 2**21
+distinct terms) each index is an ``array("Q")`` of machine words; wider
+graphs keep plain lists of ints. Graphs are immutable once built; builders
+are single-writer.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterator
+from itertools import groupby
+from typing import Iterator, Sequence
 
 from .terms import Iri, Literal, Term, Triple
 
@@ -17,11 +24,20 @@ from .terms import Iri, Literal, Term, Triple
 _MIN_BITS = 21
 
 
+def _words(entries: list[int], bits: int) -> Sequence[int]:
+    """A sorted index: 8-byte words when three ``bits``-wide positions fit
+    in 64 bits, else the list itself."""
+    return array("Q", entries) if 3 * bits <= 64 else entries
+
+
 class Graph:
     """A frozen set of triples with SPO/POS/OSP indexes.
 
-    Build via ``GraphBuilder``. All query operations are read-only and
-    safe to share across threads.
+    Build via ``GraphBuilder``. SPO and POS are word arrays (plain lists
+    past 2**21 distinct terms); OSP is built by the first lookup that binds
+    the object but not the predicate. All query operations answer as if
+    read-only and are safe to share across threads: threads racing on the
+    first OSP lookup each build a complete index, and one of them is kept.
     """
 
     __slots__ = ("name", "_terms", "_ids", "_bits", "_mask", "_spo", "_pos", "_osp")
@@ -40,22 +56,16 @@ class Graph:
         self._ids = ids
         bits = max(_MIN_BITS, max(1, len(terms)).bit_length())
         self._bits = bits
-        self._mask = (1 << bits) - 1
+        mask = self._mask = (1 << bits) - 1
         two = 2 * bits
         it = iter(flat)
         packed = [(s << two) | (p << bits) | o for s, p, o in zip(it, it, it)]
         flat.clear()
         packed.sort()
-        spo: list[int] = []
-        prev = -1
-        for v in packed:
-            if v != prev:
-                spo.append(v)
-                prev = v
+        spo = self._spo = _words([v for v, _ in groupby(packed)], bits)
         del packed
-        self._spo = spo
-        self._pos = sorted((((v >> bits) & self._mask) << two) | ((v & self._mask) << bits) | (v >> two) for v in spo)
-        self._osp = sorted(((v & self._mask) << two) | ((v >> two) << bits) | ((v >> bits) & self._mask) for v in spo)
+        self._pos = _words(sorted((((v >> bits) & mask) << two) | ((v & mask) << bits) | (v >> two) for v in spo), bits)
+        self._osp: Sequence[int] | None = None
 
     # ---- size and iteration -------------------------------------------------
 
@@ -89,7 +99,16 @@ class Graph:
 
     # ---- matching -----------------------------------------------------------
 
-    def _range(self, index: list[int], a: int | None, b: int | None, c: int | None) -> range:
+    def _osp_index(self) -> Sequence[int]:
+        osp = self._osp
+        if osp is None:
+            # Assigned once, complete: a racing thread keeps its own build.
+            bits, mask = self._bits, self._mask
+            two = 2 * bits
+            osp = self._osp = _words(sorted(((v & mask) << two) | ((v >> two) << bits) | ((v >> bits) & mask) for v in self._spo), bits)
+        return osp
+
+    def _range(self, index: Sequence[int], a: int | None, b: int | None, c: int | None) -> range:
         bits = self._bits
         two = 2 * bits
         if a is None:
@@ -118,7 +137,7 @@ class Graph:
                     v = idx[i]
                     yield (v >> two, (v >> bits) & mask, v & mask)
             elif o is not None:
-                idx = self._osp
+                idx = self._osp_index()
                 for i in self._range(idx, o, s, None):
                     v = idx[i]
                     yield ((v >> bits) & mask, v & mask, v >> two)
@@ -133,7 +152,7 @@ class Graph:
                 v = idx[i]
                 yield (v & mask, v >> two, (v >> bits) & mask)
         elif o is not None:
-            idx = self._osp
+            idx = self._osp_index()
             for i in self._range(idx, o, None, None):
                 v = idx[i]
                 yield ((v >> bits) & mask, v & mask, v >> two)
@@ -192,12 +211,12 @@ class Graph:
             if p is not None:
                 return len(self._range(self._spo, s, p, o))
             if o is not None:
-                return len(self._range(self._osp, o, s, None))
+                return len(self._range(self._osp_index(), o, s, None))
             return len(self._range(self._spo, s, None, None))
         if p is not None:
             return len(self._range(self._pos, p, o, None))
         if o is not None:
-            return len(self._range(self._osp, o, None, None))
+            return len(self._range(self._osp_index(), o, None, None))
         return len(self._spo)
 
 

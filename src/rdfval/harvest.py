@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlencode
 
-import requests
-
 from .catalog import Catalog
 from .checker import (
     CheckOutcome,
@@ -221,6 +219,8 @@ def _parse_rows(payload: bytes, blanks: _EndpointBlanks) -> list[tuple[Term, Iri
 def _fetch_page(
     session, source: Source, offset: int, sleep, blanks: _EndpointBlanks
 ) -> list[tuple[Term, Iri, Term]]:
+    import requests
+
     query = _page_query(source.page_size, offset)
     headers = {"Accept": RESULTS_MEDIA_TYPE}
     get_url = source.endpoint_url + "?" + urlencode({"query": query})
@@ -265,6 +265,10 @@ def harvest(source: Source, *, session=None, sleep=time.sleep) -> HarvestResult:
     """
     owns_session = session is None
     if owns_session:
+        # The HTTP stack is imported here, not at module level, so that
+        # processes that only validate never load it.
+        import requests
+
         session = requests.Session()
     builder = GraphBuilder()
     # Results scope blank labels per result set; one scope across the

@@ -580,6 +580,12 @@ class _Compiler:
         first scan or cycle probe, or the groups of a grouping first stage.
         After each turn with results it yields the list of their Term dicts
         for the variables of `out`, and empties it when resumed."""
+        first = stages[0]
+        steps = first.steps
+        loops = [i for i, step in enumerate(steps) if isinstance(step, (_Scan, CycleProbe))]
+        if loops and self.absent(steps[loops[0]]):
+            # The outermost loop matches nothing, so nothing else is compiled.
+            return lambda row: ()
         found: list[dict[Variable, Term]] = []
         term = self.g.term
 
@@ -587,9 +593,7 @@ class _Compiler:
             found.append({v: term(x) if (x := row[s]).__class__ is int else x for v, s in out})
             return False
 
-        first, nxt = stages[0], self.stages(stages[1:], emit)
-        guard, steps = _stop, first.steps
-        loops = [i for i, step in enumerate(steps) if isinstance(step, (_Scan, CycleProbe))]
+        nxt, guard = self.stages(stages[1:], emit), _stop
         if first.group is not None:
             rows = self.groups(first)
         elif not loops:
@@ -631,9 +635,10 @@ class _Compiler:
                 nxt = _push(self.cycle_rows(step), nxt)
         return nxt
 
-    def absent(self, step: _Scan) -> bool:
-        """Whether the scan needs a constant the graph lacks."""
-        return _ABSENT in (self.row[s] for s in step.key)
+    def absent(self, step: _Scan | CycleProbe) -> bool:
+        """Whether the scan or cycle probe needs a constant the graph lacks."""
+        key = step.key if isinstance(step, _Scan) else (self.slots[step.property],)
+        return _ABSENT in (self.row[s] for s in key)
 
     def scan(self, step: _Scan, nxt):
         # Scans that bind one slot or none and check nothing, the common
@@ -691,9 +696,9 @@ class _Compiler:
         """A generator function that yields the row once per subject of the
         property that reaches itself within the depth, bound to the step's
         variable."""
-        pid = self.row[self.slots[step.property]]
-        if pid == _ABSENT:
+        if self.absent(step):
             return lambda row: ()
+        pid = self.row[self.slots[step.property]]
         slot, depth, match, tick = self.slots[step.variable], step.max_depth, self.g.match_ids, self.tick
 
         def rows(row: list):

@@ -26,16 +26,17 @@ class UnsupportedFeature(ParseError):
         self.feature = feature
 
 
-# One alternation, tried in this priority order; the first alternative that
-# matches names the token. A triple-quoted string comes first because
-# STRING would take its first two quotes. Other unsupported forms cannot
-# start any token, so they surface where nothing matches (``_reject``).
+# Leading whitespace, then one optional alternation, tried in this priority
+# order; the first alternative that matches names the token. A triple-quoted
+# string comes first because STRING would take its first two quotes. Other
+# unsupported forms cannot start any token, so they surface where nothing
+# but whitespace matches (``_reject``).
 _TOKEN_RE = re.compile(
-    "|".join(
+    r"[ \t\r\n]*(?:"
+    + "|".join(
         f"(?P<{kind}>{pattern})"
         for kind, pattern in [
             ("TRIPLE_QUOTED", r'"""'),
-            ("WS", r"[ \t\r\n]+"),
             ("COMMENT", r"#[^\n]*"),
             ("PREFIX_DIR", r"@prefix\b"),
             ("BASE_DIR", r"@base\b"),
@@ -55,6 +56,7 @@ _TOKEN_RE = re.compile(
             ("WORD", r"[A-Za-z][A-Za-z0-9_]*"),
         ]
     )
+    + ")?"
 )
 
 
@@ -77,21 +79,24 @@ def _tokenize(text: str) -> list[_Token]:
     line_start = 0
     n = len(text)
     while pos < n:
-        col = pos - line_start + 1
         m = match(text, pos)
-        if m is None:
-            _reject(text, pos, line, col)
         kind = m.lastgroup
         end = m.end()
-        if kind == "WS":
-            newlines = text.count("\n", pos, end)
+        # Only the leading whitespace can hold newlines.
+        start = end if kind is None else m.start(kind)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
             if newlines:
                 line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
+                line_start = text.rindex("\n", pos, start) + 1
+        col = start - line_start + 1
+        if kind is None:
+            if end < n:
+                _reject(text, end, line, col)
         elif kind == "COMMENT":
             pass
         elif kind == "WORD":
-            word = m.group()
+            word = m.group(kind)
             if word.upper() in ("PREFIX", "BASE"):
                 raise UnsupportedFeature(line, col, "SPARQL-style directive")
             if word in ("true", "false"):
@@ -102,7 +107,7 @@ def _tokenize(text: str) -> list[_Token]:
         elif kind == "TRIPLE_QUOTED":
             raise UnsupportedFeature(line, col, "triple-quoted string")
         else:
-            append(_Token(kind, m.group(), line, col))
+            append(_Token(kind, m.group(kind), line, col))
         pos = end
     tokens.append(_Token("EOF", "", line, n - line_start + 1))
     return tokens

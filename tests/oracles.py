@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 
-from rdfval.datatypes import is_valid_for_datatype, numeric_value, temporal_key
+from fractions import Fraction
+
+from rdfval.datatypes import is_valid_for_datatype, numeric_value
 from rdfval.graph import Graph, GraphBuilder
 from rdfval.query import (
     And,
@@ -82,6 +84,60 @@ def _boolean(lit: Literal) -> bool:
     return lit.lexical in ("true", "1")
 
 
+_TEMPORAL_LEXICAL = re.compile(
+    r"(?P<year>-?[0-9]{4,})(?:-(?P<month>[0-9]{2})-(?P<day>[0-9]{2})"
+    r"(?:T(?P<hour>[0-9]{2}):(?P<minute>[0-9]{2}):(?P<second>[0-9]{2}(?:\.[0-9]+)?))?)?"
+    r"(?P<zone>Z|[+-][0-9]{2}:[0-9]{2})?"
+)
+# An unzoned value may be read in any zone from -14:00 to +14:00.
+_ZONE_SPAN = 14 * 3600
+
+
+def _days(year: int, month: int, day: int) -> int:
+    """Days from a fixed epoch in the proleptic Gregorian calendar, for
+    any integer year (the civil-from-days count, run backwards)."""
+    year -= month <= 2
+    era, year_of_era = divmod(year, 400)
+    day_of_year = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
+    return era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+
+
+def _temporal(lit: Literal) -> tuple[Fraction, bool] | None:
+    """``(seconds, zoned)`` of a valid date, dateTime or gYear literal:
+    seconds from the epoch of the UTC instant for a zoned value, of the
+    local reading for an unzoned one."""
+    if lit.datatype not in (XSD_DATE, XSD_DATETIME, XSD_GYEAR):
+        return None
+    if not is_valid_for_datatype(lit.lexical, lit.datatype):
+        return None
+    m = _TEMPORAL_LEXICAL.fullmatch(lit.lexical)
+    days = _days(int(m["year"]), int(m["month"] or 1), int(m["day"] or 1))
+    minutes = (days * 24 + int(m["hour"] or 0)) * 60 + int(m["minute"] or 0)
+    seconds = minutes * 60 + Fraction(m["second"] or 0)
+    zone = m["zone"]
+    if zone is None:
+        return seconds, False
+    if zone != "Z":
+        offset = (int(zone[1:3]) * 60 + int(zone[4:])) * 60
+        seconds -= offset if zone[0] == "+" else -offset
+    return seconds, True
+
+
+def _temporal_order(a: tuple[Fraction, bool], b: tuple[Fraction, bool]) -> int:
+    """-1, 0 or 1 under XSD 1.1 Part 2 §3.3.7: two zoned or two unzoned
+    values by their seconds; a zoned and an unzoned value only when the
+    zoned one lies outside every zone reading of the other, otherwise the
+    order is indeterminate and the comparison rejects."""
+    (ta, a_zoned), (tb, b_zoned) = a, b
+    if a_zoned != b_zoned:
+        zoned, local = (ta, tb) if a_zoned else (tb, ta)
+        if local - _ZONE_SPAN <= zoned <= local + _ZONE_SPAN:
+            raise Reject
+        order = -1 if zoned < local else 1
+        return order if a_zoned else -order
+    return (ta > tb) - (ta < tb)
+
+
 def compare_terms(op: str, a: Term, b: Term) -> bool:
     """Reference filter comparison: numeric and temporal literals by value,
     booleans by value under equality only, plain strings bytewise, other
@@ -90,9 +146,9 @@ def compare_terms(op: str, a: Term, b: Term) -> bool:
         na, nb = numeric_value(a), numeric_value(b)
         if na is not None and nb is not None:
             return _cmp(op, na, nb)
-        ta, tb = temporal_key(a), temporal_key(b)
+        ta, tb = _temporal(a), _temporal(b)
         if ta is not None and tb is not None:
-            return _cmp(op, ta, tb)
+            return _cmp(op, _temporal_order(ta, tb), 0)
         if a.datatype == XSD_BOOLEAN and b.datatype == XSD_BOOLEAN:
             if op not in ("=", "!="):
                 raise Reject
@@ -677,6 +733,10 @@ LITERALS = (
     Literal("2015-06-01", XSD_DATE),
     Literal("2015-02-30", XSD_DATE),
     Literal("2015-06-01T12:00:00", XSD_DATETIME),
+    Literal("2015-06-01T12:00:00Z", XSD_DATETIME),
+    Literal("2015-06-01T17:30:00+05:00", XSD_DATETIME),
+    Literal("2015-05-31T09:00:00-05:00", XSD_DATETIME),
+    Literal("2015-06-03+02:00", XSD_DATE),
     Literal("2015", XSD_GYEAR),
     Literal("15", XSD_GYEAR),
     Literal("http://example.org/ok", XSD_ANY_URI),
@@ -694,7 +754,7 @@ def random_instance_graph(rng) -> Graph:
         n_nodes, n_triples = rng.randint(40, 100), rng.randint(160, 350)
     else:
         # Named nodes plus the fixed vocabulary and literal pool stay
-        # within 200 distinct terms, and triples within 600.
+        # within 210 distinct terms, and triples within 600.
         n_nodes, n_triples = rng.randint(100, 150), rng.randint(350, 595)
     nodes: list[Term] = [Iri(f"urn:ex:n{i}") for i in range(n_nodes)]
     for i in range(rng.randint(0, 3)):

@@ -1,0 +1,159 @@
+"""What a validating process loads and builds: no HTTP stack, word-array
+indexes with a list fallback, an OSP index built on first use, and no
+pipeline compiled past an outermost scan that can match nothing."""
+import itertools
+import os
+import random
+import subprocess
+import sys
+import threading
+from array import array
+from pathlib import Path
+
+import pytest
+
+import rdfval
+from rdfval import graph as graph_module
+from rdfval.checker import check
+from rdfval.graph import Graph, GraphBuilder
+from rdfval.packs import FIXTURES, PACKS, load_fixture, load_pack
+from rdfval.query import _Compiler
+from rdfval.terms import BlankNode, Iri, Literal
+
+SRC = Path(rdfval.__file__).resolve().parents[1]
+FIXTURE_DIR = SRC / "rdfval" / "packs" / "data" / "fixtures"
+
+
+def _python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_package_and_cli_leaves_out_the_http_stack():
+    result = _python("import sys, rdfval, rdfval.cli; print('requests' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_validate_runs_without_the_http_stack(tmp_path):
+    run_cli = "import sys; {block}from rdfval.cli import main; main()"
+    args = ["validate", "--data", str(FIXTURE_DIR / "study-archive.nt"), "--pack", "ddi-rdf", "--out"]
+    plain = _python(run_cli.format(block=""), *args, str(tmp_path / "plain"))
+    blocked = _python(run_cli.format(block="sys.modules['requests'] = None; "), *args, str(tmp_path / "blocked"))
+    assert plain.returncode == 1, plain.stderr
+    assert blocked.returncode == plain.returncode, blocked.stderr
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "blocked").iterdir())
+    assert "outcomes.json" in names and "violations.nt" in names
+    for name in names:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "blocked" / name).read_bytes(), name
+
+
+def _spo(triples) -> list[tuple]:
+    return [(t.subject, t.predicate, t.object) for t in triples]
+
+
+def _random_triples(rng: random.Random) -> list[tuple]:
+    nodes = [Iri(f"urn:ex:n{i}") for i in range(rng.randint(1, 12))] + [BlankNode("b0")]
+    props = [Iri(f"urn:ex:p{i}") for i in range(rng.randint(1, 4))]
+    objects = nodes + [Literal("x"), Literal("y", language="en")]
+    return [(rng.choice(nodes), rng.choice(props), rng.choice(objects)) for _ in range(rng.randint(0, 60))]
+
+
+def _agrees_with_brute_force(triples: list[tuple], rng: random.Random) -> Graph:
+    b = GraphBuilder()
+    for t in triples:
+        b.add(*t)
+    g = b.freeze()
+    distinct = set(triples)
+    absent = Iri("urn:ex:absent")
+    columns = [sorted({t[i] for t in distinct}, key=repr) + [absent] for i in range(3)]
+    probes = rng.sample(sorted(distinct, key=repr), min(4, len(distinct)))
+    probes += [tuple(rng.choice(column) for column in columns) for _ in range(4)]
+    for probe in probes:
+        for shape in itertools.product((False, True), repeat=3):
+            s, p, o = (v if bound else None for v, bound in zip(probe, shape))
+            expected = {t for t in distinct if all(q is None or q == v for q, v in zip((s, p, o), t))}
+            got = _spo(g.match(s, p, o))
+            assert len(got) == len(expected) and set(got) == expected, (s, p, o)
+            assert g.count(s, p, o) == len(expected), (s, p, o)
+    return g
+
+
+@pytest.mark.parametrize("min_bits, container", [(21, array), (22, list)])
+def test_match_and_count_agree_with_brute_force(monkeypatch, min_bits, container):
+    # Three 22-bit positions no longer fit in a 64-bit word.
+    monkeypatch.setattr(graph_module, "_MIN_BITS", min_bits)
+    rng = random.Random(min_bits)
+    for _ in range(40):
+        g = _agrees_with_brute_force(_random_triples(rng), rng)
+        assert type(g._spo) is container and type(g._pos) is container
+
+
+def test_racing_first_object_lookups_all_see_the_whole_index():
+    b = GraphBuilder()
+    nodes = [Iri(f"urn:ex:n{i}") for i in range(500)]
+    p = Iri("urn:ex:p")
+    rng = random.Random(5)
+    triples = {(rng.choice(nodes), Iri(f"urn:ex:p{rng.randrange(4)}"), rng.choice(nodes)) for _ in range(30000)}
+    for t in triples:
+        b.add(*t)
+    b.add(nodes[0], p, nodes[1])
+    g = b.freeze()
+    target = nodes[1]
+    expected = {t for t in triples if t[2] == target} | {(nodes[0], p, target)}
+    barrier = threading.Barrier(6)
+    results: list = []
+
+    def lookup(i: int) -> None:
+        barrier.wait()
+        if i % 2:
+            results.append(g.count(None, None, target))
+        else:
+            results.append(set(_spo(g.match(None, None, target))))
+
+    threads = [threading.Thread(target=lookup, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results.count(len(expected)) == 3
+    assert results.count(expected) == 3
+    assert g._osp is not None
+    assert set(_spo(g.match(nodes[0], None, target))) == {t for t in expected if t[0] == nodes[0]}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_checking_never_builds_the_object_index(fixture):
+    g = load_fixture(fixture)
+    for pack in PACKS:
+        check(g, load_pack(pack))
+    assert g._osp is None
+
+
+def test_no_stage_is_compiled_behind_a_scan_that_matches_nothing(monkeypatch):
+    compiled: list[str] = []
+
+    def refuse(name):
+        def compile_step(self, *args):
+            compiled.append(name)
+            raise AssertionError(f"{name} compiled over an empty graph")
+
+        return compile_step
+
+    monkeypatch.setattr(_Compiler, "anti_join", refuse("anti_join"))
+    monkeypatch.setattr(_Compiler, "filter", refuse("filter"))
+    g = GraphBuilder().freeze()
+    for pack in PACKS:
+        outcomes = check(g, load_pack(pack))
+        assert {o.status for o in outcomes} <= {"ok", "not-implemented"}, pack
+    assert compiled == []
