@@ -82,7 +82,7 @@ class CompileError(ValueError):
         super().__init__(f"{constraint_id}: {reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     constraint_id: str
     severity: Severity
@@ -92,7 +92,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckOutcome:
     constraint_id: str
     status: str
@@ -513,24 +513,15 @@ def _run_constraint(
         ordered.append((texts, focus, path, value))
     found.clear()
     ordered.sort(key=itemgetter(0))
-    violations = [
+    violations = tuple(
         Violation(c.id, c.severity, focus, path, value, _render_message(c, parameters, t[0], t[2], t[3]))
         for t, focus, path, value in ordered
-    ]
+    )
     elapsed = time.monotonic() - start
     if truncated:
-        return CheckOutcome(
-            c.id,
-            TRUNCATED,
-            tuple(violations),
-            count=len(violations),
-            limit=limit,
-            wall_time=elapsed,
-        )
+        return CheckOutcome(c.id, TRUNCATED, violations, count=len(violations), limit=limit, wall_time=elapsed)
     if violations:
-        return CheckOutcome(
-            c.id, VIOLATED, tuple(violations), count=len(violations), wall_time=elapsed
-        )
+        return CheckOutcome(c.id, VIOLATED, violations, count=len(violations), wall_time=elapsed)
     return CheckOutcome(c.id, OK, wall_time=elapsed)
 
 
@@ -619,29 +610,13 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
 
 def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
     """``serialize_ntriples(violations_to_graph(outcomes))``, written
-    straight from the violation records: each distinct focus, path and
-    value term is rendered once, and no graph is built."""
+    straight from the violation records, with no graph built."""
     root = f" {term_text(REPORT_ROOT)} "
     path_p = f" {term_text(REPORT_PATH)} "
     value_p = f" {term_text(REPORT_VALUE)} "
     severity_p = f" {term_text(REPORT_SEVERITY)} "
     message_p = f" {term_text(REPORT_MESSAGE)} "
     constraint_p = f" {term_text(REPORT_CONSTRAINT)} "
-    terms: dict[Term, str] = {}
-    plains: dict[str, str] = {}
-
-    def text(term: Term) -> str:
-        t = terms.get(term)
-        if t is None:
-            t = terms[term] = term_text(term)
-        return t
-
-    def plain(lexical: str) -> str:
-        t = plains.get(lexical)
-        if t is None:
-            t = plains[lexical] = plain_literal_text(lexical)
-        return t
-
     prefix = f"_:{_report_prefix(outcomes)}"
 
     def lines():
@@ -650,16 +625,14 @@ def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
             for v in outcome.violations:
                 node = f"{prefix}{n}"
                 n += 1
-                yield f"{node}{root}{text(v.focus)} ."
+                yield f"{node}{root}{term_text(v.focus)} ."
                 if v.path is not None:
-                    yield f"{node}{path_p}{text(v.path)} ."
+                    yield f"{node}{path_p}{term_text(v.path)} ."
                 if v.value is not None:
-                    yield f"{node}{value_p}{text(v.value)} ."
-                yield f"{node}{severity_p}{plain(v.severity.json_name)} ."
+                    yield f"{node}{value_p}{term_text(v.value)} ."
+                yield f"{node}{severity_p}{plain_literal_text(v.severity.json_name)} ."
                 yield f"{node}{message_p}{plain_literal_text(v.message)} ."
-                yield f"{node}{constraint_p}{plain(v.constraint_id)} ."
-        terms.clear()
-        plains.clear()
+                yield f"{node}{constraint_p}{plain_literal_text(v.constraint_id)} ."
 
     # A generator, so that no list holds the lines while they are encoded.
     return canonical_lines(lines())

@@ -120,16 +120,14 @@ def _shift(key: tuple, minutes: int) -> tuple:
 def _calendar_value(m: re.Match, month: int, day: int, hour: int, minute: int, second) -> tuple | None:
     """The temporal value ``(key, zoned)`` of a match whose group 1 is the
     year, or None off the calendar. A key is sortable; that of a zoned
-    value is its UTC instant, that of an unzoned one its local time."""
+    value is its UTC instant, that of an unzoned one its local time. Both
+    read 24:00:00 as the first instant of the next day."""
     year = _exact(int, m[1])
     if not 1 <= month <= 12 or not 1 <= day <= _month_days(year, month):
         return None
-    key = (year, month, day, hour, minute, second)
     tz = m["tz"]
-    if tz is None:
-        return key, False
-    offset = 0 if tz == "Z" else int(tz[0] + "1") * (int(tz[1:3]) * 60 + int(tz[4:]))
-    return _shift(key, -offset), True
+    offset = 0 if tz is None or tz == "Z" else int(tz[0] + "1") * (int(tz[1:3]) * 60 + int(tz[4:]))
+    return _shift((year, month, day, hour, minute, second), -offset), tz is not None
 
 
 def _date(lexical: str) -> tuple | None:

@@ -9,6 +9,7 @@ bytewise.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import Iterable
 
 from .graph import Graph, GraphBuilder
@@ -214,8 +215,11 @@ def make_literal(
 
 def canonical_lines(lines: Iterable[str]) -> bytes:
     """Canonical N-Triples bytes from triple lines without newlines:
-    unique lines, sorted by code point (which is UTF-8 byte order)."""
-    unique = sorted(set(lines))
+    unique lines, sorted by code point (which is UTF-8 byte order).
+
+    The lines are sorted as they arrive, so the runs already in order are
+    merged rather than sorted again; repeats are then neighbours."""
+    unique = [line for line, _ in groupby(sorted(lines))]
     if not unique:
         return b""
     unique.append("")  # the final newline

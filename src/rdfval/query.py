@@ -457,16 +457,7 @@ def plan(p: Pattern) -> Plan:
 # Steps bind slots in place and never clear them.  The plan reads a slot
 # only where it is bound; a caller reads what it keeps before resuming.
 
-_REGEX_CACHE: dict[str, re.Pattern] = {}
-
 _OPS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
-
-
-def _compiled(pattern: str) -> re.Pattern:
-    rx = _REGEX_CACHE.get(pattern)
-    if rx is None:
-        rx = _REGEX_CACHE[pattern] = re.compile(pattern)
-    return rx
 
 
 class _ExprTypeError(Exception):
@@ -507,7 +498,10 @@ def _push(rows, nxt):
 
 
 def _ticker(deadline: float | None):
-    """Called once per unit of work; every 1024th call checks the deadline."""
+    """Called once per loop iteration over index matches or cycle steps;
+    every 1024th call checks the deadline.  Filters, NOT EXISTS probes and
+    group counts run inside such an iteration, once per group, or once for
+    a pipeline with no loop, so they need no tick of their own."""
     if deadline is None:
         return lambda: None
     count = 0
@@ -737,12 +731,11 @@ class _Compiler:
         from a row by group key, then yields one fresh row per group, copied
         from that row, with the count in `into`."""
         keys = [self.slots[v] for v in stage.group.group_vars]
-        into, tick = self.slots[stage.group.into], self.tick
+        into = self.slots[stage.group.into]
         key_of = itemgetter(*keys) if keys else (lambda row: ())
         counts: dict = {}
 
         def count(row: list) -> bool:
-            tick()
             key = key_of(row)
             counts[key] = counts.get(key, 0) + 1
             return False
@@ -763,19 +756,17 @@ class _Compiler:
         return rows
 
     def anti_join(self, step: _AntiJoin, nxt):
-        inner, tick = self.stages(step.stages, _stop), self.tick
+        inner = self.stages(step.stages, _stop)
 
         def anti_join(row: list) -> bool:
-            tick()
             return False if inner(row) else nxt(row)
 
         return anti_join
 
     def filter(self, e: Expr, nxt):
-        test, tick = self.flag(e), self.tick
+        test = self.flag(e)
 
         def filter(row: list) -> bool:
-            tick()
             try:
                 if not test(row):
                     return False
@@ -814,7 +805,7 @@ class _Compiler:
         if isinstance(e, IsLiteral):
             return lambda row: isinstance(get(row), Literal)
         if isinstance(e, Regex):
-            search = _compiled(e.pattern).search
+            search = re.compile(e.pattern).search
 
             def regex(row: list) -> bool:
                 t = get(row)

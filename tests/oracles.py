@@ -741,6 +741,8 @@ LITERALS = (
     Literal("15", XSD_GYEAR),
     Literal("http://example.org/ok", XSD_ANY_URI),
     Literal("not a uri", XSD_ANY_URI),
+    Literal("2015-06-01T24:00:00", XSD_DATETIME),
+    Literal("2015-06-02T00:00:00", XSD_DATETIME),
 )
 
 
@@ -753,8 +755,9 @@ def random_instance_graph(rng) -> Graph:
     elif roll < 0.95:
         n_nodes, n_triples = rng.randint(40, 100), rng.randint(160, 350)
     else:
-        # Named nodes plus the fixed vocabulary and literal pool stay
-        # within 210 distinct terms, and triples within 600.
+        # Named and blank nodes (153), the fixed vocabulary (18) and the
+        # literal pool (36) stay within 207 distinct terms, and triples
+        # within 600.
         n_nodes, n_triples = rng.randint(100, 150), rng.randint(350, 595)
     nodes: list[Term] = [Iri(f"urn:ex:n{i}") for i in range(n_nodes)]
     for i in range(rng.randint(0, 3)):

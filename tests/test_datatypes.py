@@ -130,7 +130,7 @@ def test_temporal_key_orders_dates_and_datetimes_together():
 
 
 def test_temporal_key_values():
-    assert temporal_key(Literal("2015-06-01T24:00:00", XSD_DATETIME)) == (2015, 6, 1, 24, 0, Fraction(0))
+    assert temporal_key(Literal("2015-06-01T24:00:00", XSD_DATETIME)) == (2015, 6, 2, 0, 0, Fraction(0))
     assert temporal_key(Literal("2015-06-01T12:00:07.25+02:00", XSD_DATETIME))[5] == Fraction(29, 4)
     assert temporal_key(Literal("-0500", XSD_GYEAR))[0] == -500
 
@@ -195,3 +195,12 @@ def test_zoned_and_unzoned_values_order_only_when_determinate():
     assert temporal_order(temporal_value(dt("2015-06-02T02:00:01")), zoned) == 1
     assert temporal_order(temporal_value(Literal("2015-06-03", XSD_DATE)), zoned) == 1
     assert temporal_order(temporal_value(Literal("2015-06-02", XSD_DATE)), zoned) is None
+
+
+def test_hour_24_is_the_first_instant_of_the_next_day():
+    # XSD 1.1 Part 2, 3.3.7: 24:00:00 is 00:00:00 of the following day,
+    # for unzoned values as for zoned ones.
+    assert temporal_order(temporal_value(dt("2015-06-01T24:00:00")), temporal_value(dt("2015-06-02T00:00:00"))) == 0
+    assert temporal_order(temporal_value(dt("2015-06-01T24:00:00")), temporal_value(dt("2015-06-01T23:59:59"))) == 1
+    new_year = temporal_value(Literal("0001", XSD_GYEAR))
+    assert temporal_order(temporal_value(dt("0000-12-31T24:00:00")), new_year) == 0

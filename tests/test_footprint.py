@@ -1,6 +1,7 @@
 """What a validating process loads and builds: no HTTP stack, word-array
-indexes with a list fallback, an OSP index built on first use, and no
-pipeline compiled past an outermost scan that can match nothing."""
+indexes with a list fallback, an OSP index built on first use, no
+pipeline compiled past an outermost scan that can match nothing, and
+outcome records without a per-instance dict."""
 import itertools
 import os
 import random
@@ -157,3 +158,11 @@ def test_no_stage_is_compiled_behind_a_scan_that_matches_nothing(monkeypatch):
         outcomes = check(g, load_pack(pack))
         assert {o.status for o in outcomes} <= {"ok", "not-implemented"}, pack
     assert compiled == []
+
+
+def test_outcome_and_violation_records_have_no_instance_dict():
+    outcomes = check(load_fixture("study-archive"), load_pack("ddi-rdf"))
+    violations = [v for o in outcomes for v in o.violations]
+    assert violations
+    for record in [*outcomes, *violations]:
+        assert not hasattr(record, "__dict__"), type(record).__name__

@@ -2,7 +2,7 @@
 import pytest
 
 from rdfval.ntriples import ParseError, parse_ntriples, serialize_ntriples
-from rdfval.terms import BlankNode, Iri, Literal, Triple, XSD_INTEGER
+from rdfval.terms import BlankNode, Iri, Literal, Triple, XSD_INTEGER, triple_text
 
 
 def parse(text):
@@ -107,6 +107,13 @@ def test_round_trip_is_idempotent():
 def test_triple_serialization_drops_duplicate_lines():
     t = Triple(Iri("urn:ex:s"), Iri("urn:ex:p"), Literal("x"))
     assert serialize_ntriples([t, t]) == b'<urn:ex:s> <urn:ex:p> "x" .\n'
+    # Repeats 280 triples apart and a reversed tail, over non-ASCII lines.
+    s, p = Iri("urn:ex:s"), Iri("urn:ex:p")
+    texts = ["x", "\u00e9", "\u65e5\u672c", "\U0001F600", "zz", "a b", "\u00c9"]
+    triples = [Triple(s, p, Literal(texts[i * 5 % 7] + str(i % 40))) for i in range(400)]
+    triples += [Triple(s, Iri(f"urn:ex:\u00fc{i % 3}"), s) for i in range(9)] + triples[::-3]
+    expected = "".join(line + "\n" for line in sorted({triple_text(t) for t in triples}))
+    assert serialize_ntriples(triples) == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("start", [0x00, 0x20, 0x5B, 0x7E, 0x80, 0x10FF00])

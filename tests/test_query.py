@@ -448,6 +448,16 @@ def test_literal_values_are_parsed_once_per_run(monkeypatch):
     assert next(calls) == 9
 
 
+def test_equality_filter_reads_hour_24_as_the_next_day():
+    g = graph(
+        (iri("s0"), iri("t"), Literal("2015-06-01T24:00:00", XSD_DATETIME)),
+        (iri("s1"), iri("t"), Literal("2015-06-01T00:00:00", XSD_DATETIME)),
+    )
+    midnight = Constant(Literal("2015-06-02T00:00:00", XSD_DATETIME))
+    got = rows(g, And([TriplePattern(A, iri("t"), B), Filter(Compare("=", Var(B), midnight))]))
+    assert got == [{A: iri("s0"), B: Literal("2015-06-01T24:00:00", XSD_DATETIME)}]
+
+
 def test_filter_orders_datetimes_by_instant():
     values = {
         "2015-06-01T12:00:00+05:00": True,  # 07:00Z
