@@ -120,8 +120,11 @@ _NOT = Constant(FALSE)
 
 
 def _union(patterns: list[Pattern], focus, path=None, value=None) -> Plan:
+    """The plan of the patterns' union; its rows hold the focus first, then
+    the path and the value where they are variables."""
     pipelines = tuple(pipeline for p in patterns for pipeline in plan(p).pipelines)
-    return Plan(pipelines, focus, path, value)
+    columns = tuple(a for a in (focus, path, value) if isinstance(a, Variable))
+    return Plan(pipelines, focus, path, value, columns)
 
 
 def _int_lit(n: int) -> Constant:
@@ -161,7 +164,7 @@ def _cardinality(params, mode: str, qualified: bool) -> Plan:
         patterns.append(And([counted, Filter(Compare(">", Var(_N), _int_lit(bound)))]))
     elif mode == "min":
         if bound == 0:
-            return Plan((), _X, p)
+            return _union([], _X, p)
         patterns.append(And([counted, Filter(Compare("<", Var(_N), _int_lit(bound)))]))
         patterns.append(zero_case)
     else:
@@ -447,13 +450,27 @@ def _parameter_texts(c: Constraint) -> dict[str, str]:
     return texts
 
 
-def _render_message(c: Constraint, parameters: dict[str, str], focus: str, path: str, value: str) -> str:
-    """The message for a violation whose focus, path and value display as
-    the given texts."""
-    # A parameter named focus, path or value shadows the violation's own.
-    substitutions = {"focus": focus, "path": path, "value": value}
-    substitutions.update(parameters)
-    return PLACEHOLDER_RE.sub(lambda m: substitutions.get(m.group(1), m.group(0)), c.message)
+_FIELDS = {"focus": "{0}", "path": "{1}", "value": "{2}"}
+
+
+def _message_template(c: Constraint) -> str:
+    """The constraint's message as a `str.format` template over the texts
+    of a violation's focus, path and value.
+
+    Parameters are filled in here, and one named focus, path or value
+    shadows the violation's own.  An unknown placeholder, `{}` included,
+    stays as written, and every other brace is literal text."""
+    parameters = _parameter_texts(c)
+    template = []
+    # split() alternates literal text with the names of placeholders.
+    for i, piece in enumerate(PLACEHOLDER_RE.split(c.message)):
+        if i % 2:
+            if piece not in parameters and piece in _FIELDS:
+                template.append(_FIELDS[piece])
+                continue
+            piece = parameters.get(piece, f"{{{piece}}}")
+        template.append(piece.replace("{", "{{").replace("}", "}}"))
+    return "".join(template)
 
 
 def _run_constraint(
@@ -467,32 +484,27 @@ def _run_constraint(
         return CheckOutcome(
             c.id, ENGINE_FAILURE, reason=f"compile: {exc.reason}", wall_time=time.monotonic() - start
         )
-    focus_var, path_spec, value_spec = built.focus, built.path, built.value
+    term = g.term
 
-    found: dict[tuple, None] = {}
+    # A row is its own key: the focus id, then the path and value ids where
+    # the plan binds them.  `seen` maps a kept key to its focus term and a
+    # skipped one to None, so each key is judged once.
+    seen: dict[tuple, Term | None] = {}
+    kept = 0
     truncated = False
     try:
-        for row in run_plan(g, built, deadline=deadline):
-            focus = row.get(focus_var)
+        for key in run_plan(g, built, deadline=deadline):
+            if key in seen:
+                continue
+            focus = None if key[0] is None else term(key[0])
             if focus is None or isinstance(focus, Literal):
+                seen[key] = None
                 continue
-            if isinstance(path_spec, Variable):
-                path = row.get(path_spec)
-                if not isinstance(path, Iri):
-                    path = None
-            else:
-                path = path_spec
-            if isinstance(value_spec, Variable):
-                value = row.get(value_spec)
-            else:
-                value = value_spec
-            key = (focus, path, value)
-            if key in found:
-                continue
-            if limit is not None and len(found) >= limit:
+            if limit is not None and kept >= limit:
                 truncated = True
                 break
-            found[key] = None
+            seen[key] = focus
+            kept += 1
     except BudgetExceeded:
         return CheckOutcome(
             c.id, ENGINE_FAILURE, reason="budget", wall_time=time.monotonic() - start
@@ -502,19 +514,34 @@ def _run_constraint(
             c.id, ENGINE_FAILURE, reason=str(exc), wall_time=time.monotonic() - start
         )
 
-    parameters = _parameter_texts(c)
-    # Each violation's focus, path and value are displayed once, for the
-    # sort key and the message. `ordered` replaces `found`, which is
+    columns = built.columns
+    path_at = columns.index(built.path) if isinstance(built.path, Variable) else None
+    value_at = columns.index(built.value) if isinstance(built.value, Variable) else None
+    # Each kept violation's focus, path and value are displayed once, for
+    # the sort key and the message. `ordered` replaces `seen`, which is
     # emptied so that a large outcome is not held twice.
     ordered = []
-    for focus, path, value in found:
+    for key, focus in seen.items():
+        if focus is None:
+            continue
+        path = built.path if path_at is None else key[path_at]
+        if path.__class__ is int:
+            # Every compiler binds a path variable in predicate position,
+            # where only IRIs occur, so this never merges two kept keys.
+            path = term(path)
+            if not isinstance(path, Iri):
+                path = None
+        value = built.value if value_at is None else key[value_at]
+        if value.__class__ is int:
+            value = term(value)
         value_kind = "" if value is None else value.__class__.__name__
         texts = (_display(focus), focus.__class__.__name__, _display(path), _display(value), value_kind)
         ordered.append((texts, focus, path, value))
-    found.clear()
+    seen.clear()
     ordered.sort(key=itemgetter(0))
+    message = _message_template(c).format
     violations = tuple(
-        Violation(c.id, c.severity, focus, path, value, _render_message(c, parameters, t[0], t[2], t[3]))
+        Violation(c.id, c.severity, focus, path, value, message(t[0], t[2], t[3]))
         for t, focus, path, value in ordered
     )
     elapsed = time.monotonic() - start
@@ -619,20 +646,37 @@ def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
     constraint_p = f" {term_text(REPORT_CONSTRAINT)} "
     prefix = f"_:{_report_prefix(outcomes)}"
 
-    def lines():
+    def blocks():
         n = 0
+        # The constraint, path and severity lines repeat from one violation
+        # to the next: each is rendered again only when its field is not the
+        # previous violation's object.
+        constraint_id = path = severity = None
         for outcome in outcomes:
             for v in outcome.violations:
+                if v.constraint_id is not constraint_id:
+                    constraint_id = v.constraint_id
+                    constraint_tail = f"{constraint_p}{plain_literal_text(constraint_id)} ."
+                tails = [constraint_tail, f"{message_p}{plain_literal_text(v.message)} ."]
+                if v.path is not None:
+                    if v.path is not path:
+                        path = v.path
+                        path_tail = f"{path_p}{term_text(path)} ."
+                    tails.append(path_tail)
+                tails.append(f"{root}{term_text(v.focus)} .")
+                if v.severity is not severity:
+                    severity = v.severity
+                    severity_tail = f"{severity_p}{plain_literal_text(severity.json_name)} ."
+                tails.append(severity_tail)
+                if v.value is not None:
+                    tails.append(f"{value_p}{term_text(v.value)} .")
                 node = f"{prefix}{n}"
                 n += 1
-                yield f"{node}{root}{term_text(v.focus)} ."
-                if v.path is not None:
-                    yield f"{node}{path_p}{term_text(v.path)} ."
-                if v.value is not None:
-                    yield f"{node}{value_p}{term_text(v.value)} ."
-                yield f"{node}{severity_p}{plain_literal_text(v.severity.json_name)} ."
-                yield f"{node}{message_p}{plain_literal_text(v.message)} ."
-                yield f"{node}{constraint_p}{plain_literal_text(v.constraint_id)} ."
+                yield node + f"\n{node}".join(tails)
 
-    # A generator, so that no list holds the lines while they are encoded.
-    return canonical_lines(lines())
+    # Each violation is one string, its lines (the node's label before each
+    # tail) in predicate order.  Every line starts with the label and a
+    # space, and labels are distinct, so blocks sort as their lines would,
+    # and canonical_lines holds one string per violation, not six, while it
+    # sorts and joins.
+    return canonical_lines(blocks())

@@ -142,8 +142,20 @@ def main() -> None:
 )
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--pack", type=click.Choice(PACKS))
-@click.option("--limit", default=DEFAULT_LIMIT, show_default=True, help="Violations kept per constraint.")
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, help="Seconds per constraint.")
+@click.option(
+    "--limit",
+    default=DEFAULT_LIMIT,
+    show_default=True,
+    type=click.IntRange(min=0),
+    help="Violations kept per constraint.",
+)
+@click.option(
+    "--budget",
+    default=DEFAULT_BUDGET,
+    show_default=True,
+    type=click.FloatRange(min=0),
+    help="Seconds per constraint.",
+)
 @click.option(
     "--fail-on",
     type=click.Choice(["info", "warning", "error"]),
@@ -250,8 +262,8 @@ def harvest(sources_path, out_dir, page_size, timeout, concurrency) -> None:
 
 @main.command()
 @_campaign_options
-@click.option("--limit", default=DEFAULT_LIMIT, show_default=True)
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True)
+@click.option("--limit", default=DEFAULT_LIMIT, show_default=True, type=click.IntRange(min=0))
+@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=click.FloatRange(min=0))
 @_operational_errors
 def campaign(sources_path, out_dir, page_size, timeout, concurrency, limit, budget) -> None:
     """Harvest every source, check it against its pack, and write reports."""

@@ -215,7 +215,9 @@ def make_literal(
 
 def canonical_lines(lines: Iterable[str]) -> bytes:
     """Canonical N-Triples bytes from triple lines without newlines:
-    unique lines, sorted by code point (which is UTF-8 byte order).
+    unique lines, sorted by code point (which is UTF-8 byte order).  An
+    item may also be a block of newline-joined lines in order, when all its
+    lines compare with every other item's lines as the block does.
 
     The lines are sorted as they arrive, so the runs already in order are
     merged rather than sorted again; repeats are then neighbours."""

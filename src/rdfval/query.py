@@ -9,6 +9,8 @@ deterministic for a given graph and pattern.
 Planning gives every variable and constant of a pipeline a slot; a row is
 a list of graph ids indexed by slot, except that a GroupCount's `into`
 slot holds its count literal.  Each triple pattern is laid out once.
+run_plan yields each result as a tuple of those raw values for the plan's
+columns; only evaluate turns them into Terms.
 
 run_plan compiles each pipeline, once per call and against the graph,
 into nested closures `row -> stop`, after Neumann, "Efficiently Compiling
@@ -283,16 +285,18 @@ class Pipeline:
 class Plan:
     """Executable form of a pattern: a union of linear pipelines.
 
-    `focus`, `path`, and `value` name where in each emitted row a caller
-    should read the subject, property, and object of interest; they are
-    inert during evaluation itself.  `path` and `value` may also be fixed
-    terms when the pattern does not bind them.
+    `columns` are the variables whose values make up each result row, in
+    order; a pipeline that does not bind one reads None there.  `focus`,
+    `path`, and `value` name the subject, property, and object of interest
+    to a caller, and are inert during evaluation itself.  `path` and
+    `value` may also be fixed terms when the pattern does not bind them.
     """
 
     pipelines: tuple[Pipeline, ...]
     focus: Variable | None = None
     path: Variable | Iri | None = None
     value: Variable | Term | None = None
+    columns: tuple[Variable, ...] = ()
 
 
 def _validate_expr(e: Expr, problems: list[str]) -> None:
@@ -449,7 +453,7 @@ def plan(p: Pattern) -> Plan:
     if problems:
         raise PlanError("; ".join(problems))
     out = tuple((v, slots[v]) for v in bound)
-    return Plan(pipelines=(Pipeline(stages, slots, out),))
+    return Plan(pipelines=(Pipeline(stages, slots, out),), columns=tuple(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +487,14 @@ def _boolean_value(lit: Literal) -> bool:
 
 def _stop(row: list) -> bool:
     return True
+
+
+def _getter(slots: list[int]):
+    """`row -> tuple` of the values at `slots`, a tuple even for one slot."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda row: (row[s],)
+    return itemgetter(*slots) if slots else (lambda row: ())
 
 
 def _push(rows, nxt):
@@ -569,22 +581,22 @@ class _Compiler:
     def __init__(self, g: Graph, slots: _Slots, row: list, tick, entry):
         self.g, self.slots, self.row, self.tick, self.entry = g, slots, row, tick, entry
 
-    def outer(self, stages: tuple[Stage, ...], out: tuple[tuple[Variable, int], ...]):
+    def outer(self, stages: tuple[Stage, ...], columns: list[int]):
         """A generator function over the outermost loop of `stages`: the
         first scan or cycle probe, or the groups of a grouping first stage.
-        After each turn with results it yields the list of their Term dicts
-        for the variables of `out`, and empties it when resumed."""
+        After each turn with results it yields the list of their tuples of
+        the values at the slots `columns`, and empties it when resumed."""
         first = stages[0]
         steps = first.steps
         loops = [i for i, step in enumerate(steps) if isinstance(step, (_Scan, CycleProbe))]
         if loops and self.absent(steps[loops[0]]):
             # The outermost loop matches nothing, so nothing else is compiled.
             return lambda row: ()
-        found: list[dict[Variable, Term]] = []
-        term = self.g.term
+        found: list[tuple] = []
+        append, get = found.append, _getter(columns)
 
         def emit(row: list) -> bool:
-            found.append({v: term(x) if (x := row[s]).__class__ is int else x for v, s in out})
+            append(get(row))
             return False
 
         nxt, guard = self.stages(stages[1:], emit), _stop
@@ -732,7 +744,7 @@ class _Compiler:
         from that row, with the count in `into`."""
         keys = [self.slots[v] for v in stage.group.group_vars]
         into = self.slots[stage.group.into]
-        key_of = itemgetter(*keys) if keys else (lambda row: ())
+        key_of = _getter(keys)
         counts: dict = {}
 
         def count(row: list) -> bool:
@@ -748,7 +760,7 @@ class _Compiler:
             run(row)
             for key, n in mine.items():
                 out = row.copy()
-                for s, value in zip(keys, (key,) if len(keys) == 1 else key):
+                for s, value in zip(keys, key):
                     out[s] = value
                 out[into] = Literal(str(n), XSD_INTEGER)
                 yield out
@@ -857,10 +869,10 @@ class _Compiler:
         return lambda row: entry(row[s])
 
 
-def run_plan(
-    g: Graph, p: Plan, *, deadline: float | None = None
-) -> Iterator[dict[Variable, Term]]:
-    """Execute a plan, yielding one fresh Term-valued dict per result row.
+def run_plan(g: Graph, p: Plan, *, deadline: float | None = None) -> Iterator[tuple]:
+    """Execute a plan, yielding one tuple per result row: the value of each
+    of `p.columns`, which is a graph id, a GroupCount's count literal, or
+    None where the row's pipeline does not bind that column.
 
     Each pipeline is compiled when the iteration reaches it; the rows of
     one turn of its outermost loop are built before the first is yielded.
@@ -874,8 +886,11 @@ def run_plan(
             if not isinstance(atom, Variable):
                 tid = g.term_id(atom)
                 row[slot] = _ABSENT if tid is None else tid
+        # A column out of the pipeline's final scope reads slot _OPEN.
+        bound = dict(pipeline.out)
+        columns = [bound.get(v, _OPEN) for v in p.columns]
         compiler = _Compiler(g, pipeline.slots, row, tick, entry)
-        for found in compiler.outer(pipeline.stages, pipeline.out)(row):
+        for found in compiler.outer(pipeline.stages, columns)(row):
             yield from found
 
 
@@ -889,4 +904,9 @@ def evaluate(
     its inner pattern has no solution under that binding; GroupCount emits
     one binding per group with the count bound to its `into` variable.
     """
-    return run_plan(g, plan(p), deadline=deadline)
+    planned = plan(p)
+    columns, term = planned.columns, g.term
+    return (
+        {v: term(x) if x.__class__ is int else x for v, x in zip(columns, row)}
+        for row in run_plan(g, planned, deadline=deadline)
+    )

@@ -700,6 +700,21 @@ def family_violations(facts: GraphFacts, family_id: str, params) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Violation messages
+
+_PLACEHOLDER = re.compile(r"\{([^{}]*)\}")
+
+
+def render_message(message: str, parameters: dict[str, str], focus: str, path: str, value: str) -> str:
+    """A violation's message, by one regex pass over the catalog text:
+    each `{name}` becomes the text of the parameter of that name, else of
+    the violation's focus, path or value, else stays as written."""
+    substitutions = {"focus": focus, "path": path, "value": value}
+    substitutions.update(parameters)
+    return _PLACEHOLDER.sub(lambda m: substitutions.get(m.group(1), m.group(0)), message)
+
+
+# ---------------------------------------------------------------------------
 # Random generators
 
 CLASSES = tuple(Iri(f"urn:ex:C{i}") for i in range(4))

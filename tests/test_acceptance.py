@@ -5,6 +5,7 @@ asserts a wall-clock ceiling, so a slow regression fails loudly.
 """
 import random
 import time
+from dataclasses import replace
 
 from mockserver import MockEndpoint, closed_port_url
 from oracles import (
@@ -129,6 +130,72 @@ def test_checker_families_agree_with_bruteforce_oracle():
     assert elapsed < 120.0
 
 
+def family_catalog(drawn) -> Catalog:
+    """One constraint per drawn (family id, params), named by its family."""
+    return Catalog(
+        {},
+        tuple(
+            Constraint(
+                id=fid,
+                vocabulary="user-defined",
+                family=FAMILIES[fid],
+                params=params,
+                severity=Severity.ERROR,
+                status=IMPLEMENTED,
+                message="{focus}",
+                expressivity=frozenset(("sparql",)),
+            )
+            for fid, params in drawn
+        ),
+    )
+
+
+def display(term) -> str:
+    if term is None:
+        return ""
+    if isinstance(term, Iri):
+        return term.text
+    return term.lexical if isinstance(term, Literal) else f"_:{term.label}"
+
+
+def report_order(v) -> tuple:
+    """The documented order of violations: by focus, path and value text,
+    with the kind of focus and value breaking ties."""
+    value_kind = "" if v.value is None else type(v.value).__name__
+    return display(v.focus), type(v.focus).__name__, display(v.path), display(v.value), value_kind
+
+
+def test_limited_checks_keep_limit_violations_from_the_oracle_set():
+    family_ids = sorted(FAMILY_ORACLES)
+    started = time.perf_counter()
+    truncations = 0
+    for case in range(150):
+        rng = random.Random(30_000 + case)
+        graph = random_instance_graph(rng)
+        facts = GraphFacts(graph)
+        drawn = [(fid, random_family_params(rng, fid)) for fid in family_ids]
+        catalog = family_catalog(drawn)
+        wanted = [family_violations(facts, fid, params) for fid, params in drawn]
+        unlimited = check(graph, catalog, limit=None, budget=None)
+        for k in (1, 2, 3):
+            limited = check(graph, catalog, limit=k, budget=None)
+            for (fid, _), want, whole, outcome in zip(drawn, wanted, unlimited, limited):
+                where = (case, fid, k)
+                assert (outcome.status == "truncated") == (len(want) > k), where
+                if outcome.status != "truncated":
+                    assert replace(outcome, wall_time=0.0) == replace(whole, wall_time=0.0), where
+                    continue
+                truncations += 1
+                kept = [(v.focus, v.path, v.value) for v in outcome.violations]
+                assert outcome.count == outcome.limit == len(set(kept)) == len(kept) == k, where
+                assert set(kept) <= want, where
+                order = [report_order(v) for v in outcome.violations]
+                assert order == sorted(order), where
+    elapsed = time.perf_counter() - started
+    assert truncations > 1000
+    assert elapsed < 120.0
+
+
 def test_query_engine_agrees_with_naive_enumeration():
     started = time.perf_counter()
     mismatches = []
@@ -138,7 +205,12 @@ def test_query_engine_agrees_with_naive_enumeration():
         pattern = random_pattern(rng, graph)
         want = naive_evaluate(graph, pattern)
         direct = list(evaluate(graph, pattern))
-        planned = list(run_plan(graph, plan(pattern)))
+        compiled = plan(pattern)
+        # Row values are ids, except a GroupCount's count literal.
+        planned = [
+            {v: graph.term(x) if isinstance(x, int) else x for v, x in zip(compiled.columns, row)}
+            for row in run_plan(graph, compiled)
+        ]
         if not rows_equal(want, direct) or not rows_equal(want, planned):
             mismatches.append(case)
     elapsed = time.perf_counter() - started

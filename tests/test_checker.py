@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from oracles import FAMILY_ORACLES, random_family_params, random_instance_graph
+from oracles import FAMILY_ORACLES, random_family_params, random_instance_graph, render_message
 
 from rdfval.catalog import (
     Catalog,
@@ -187,6 +187,29 @@ def test_message_placeholders_are_substituted():
     )
     (v,) = run_one(g, c).violations
     assert v.message == "urn:ex:a lacks urn:ex:p (urn:ex:p/)"
+
+
+# Message pieces: placeholders known and unknown, lone and doubled braces,
+# `{}` and text.  Parameter names include the violation's own fields, and
+# texts hold braces and `{0}`, which a format template must not expand.
+MESSAGE_PIECES = ["{", "}", "{{", "}}", "{}", "{0}", "{1}", " ", "x", "{focus}", "{path}", "{value}",
+                  "{property}", "{class}", "{unknown}", "{a b}", "{{focus}}", "{x{value}}"]
+PARAMETER_NAMES = ["focus", "path", "value", "property", "class", "0"]
+TEXTS = ["", "a", "{", "}", "{}", "{0}", "{focus}", "^[a-z]{2}$", "{{", "}}", "%s", "\\"]
+
+
+def test_message_template_agrees_with_one_pass_substitution():
+    rng = random.Random(31)
+    for case in range(400):
+        message = "".join(rng.choice(MESSAGE_PIECES) for _ in range(rng.randint(0, 8)))
+        names = rng.sample(PARAMETER_NAMES, rng.randint(0, 3))
+        texts = {name: "".join(rng.choices(TEXTS, k=rng.randint(0, 3))) for name in names}
+        # A parameter given as a literal is displayed as its lexical form.
+        params = {name: Literal(text) if rng.random() < 0.5 else text for name, text in texts.items()}
+        fields = ["".join(rng.choices(TEXTS, k=rng.randint(0, 3))) for _ in range(3)]
+        c = constraint("EXISTENTIAL-QUANTIFICATION", params, message=message)
+        got = rdfval.checker._message_template(c).format(*fields)
+        assert got == render_message(message, texts, *fields), (case, message, texts, fields)
 
 
 def test_violations_are_deduplicated_and_sorted():

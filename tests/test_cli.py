@@ -1,6 +1,7 @@
 """Command line behavior via click's test runner."""
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from mockserver import MockEndpoint
@@ -90,6 +91,22 @@ def test_engine_failures_never_fail_the_run(tmp_path):
     lines = result.output.splitlines()
     assert lines[0] == "V-1  engine-failure  (budget)"
     assert "1 failed" in lines[1]
+
+
+@pytest.mark.parametrize("command", ["validate", "campaign"])
+@pytest.mark.parametrize("option, value", [("--limit", "-1"), ("--budget", "-1")])
+def test_negative_limit_or_budget_is_a_usage_error(tmp_path, command, option, value):
+    if command == "validate":
+        cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
+        args = ["validate", "--data", write_nt(tmp_path / "data.nt", VIOLATING), "--catalog", cat]
+    else:
+        sources = tmp_path / "sources.json"
+        sources.write_text("[]", encoding="utf-8")
+        args = ["campaign", "--sources", str(sources), "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [*args, option, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_requires_exactly_one_catalog_source(tmp_path):

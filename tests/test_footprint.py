@@ -1,7 +1,8 @@
 """What a validating process loads and builds: no HTTP stack, word-array
 indexes with a list fallback, an OSP index built on first use, no
-pipeline compiled past an outermost scan that can match nothing, and
-outcome records without a per-instance dict."""
+pipeline compiled past an outermost scan that can match nothing, result
+rows of raw ids rather than Term dicts, and outcome records without a
+per-instance dict."""
 import itertools
 import os
 import random
@@ -15,11 +16,11 @@ import pytest
 
 import rdfval
 from rdfval import graph as graph_module
-from rdfval.checker import check
+from rdfval.checker import check, compile_constraint
 from rdfval.graph import Graph, GraphBuilder
 from rdfval.packs import FIXTURES, PACKS, load_fixture, load_pack
-from rdfval.query import _Compiler
-from rdfval.terms import BlankNode, Iri, Literal
+from rdfval.query import _Compiler, run_plan
+from rdfval.terms import BlankNode, Iri, Literal, XSD_INTEGER
 
 SRC = Path(rdfval.__file__).resolve().parents[1]
 FIXTURE_DIR = SRC / "rdfval" / "packs" / "data" / "fixtures"
@@ -158,6 +159,24 @@ def test_no_stage_is_compiled_behind_a_scan_that_matches_nothing(monkeypatch):
         outcomes = check(g, load_pack(pack))
         assert {o.status for o in outcomes} <= {"ok", "not-implemented"}, pack
     assert compiled == []
+
+
+def test_run_plan_rows_are_tuples_of_ids_and_count_literals():
+    kinds = set()
+    for fixture, pack in FIXTURES.items():
+        g = load_fixture(fixture)
+        for c in load_pack(pack).implemented():
+            built = compile_constraint(c)
+            for row in run_plan(g, built):
+                assert type(row) is tuple and len(row) == len(built.columns), c.id
+                for x in row:
+                    # None is a column the row's pipeline does not bind.
+                    if type(x) is Literal:
+                        assert x.datatype == XSD_INTEGER, (c.id, x)
+                    else:
+                        assert x is None or type(x) is int, (c.id, x)
+                    kinds.add(type(x))
+    assert {int, Literal, type(None)} <= kinds
 
 
 def test_outcome_and_violation_records_have_no_instance_dict():
