@@ -8,6 +8,7 @@ never raised out of check().
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -31,7 +32,6 @@ from .query import (
     NotExists,
     Pattern,
     Plan,
-    PlanError,
     Regex,
     SameLanguage,
     TriplePattern as TP,
@@ -417,9 +417,7 @@ def compile_constraint(c: Constraint) -> Plan:
         return compiler(c.params)
     except KeyError as exc:
         raise CompileError(c.id, f"missing parameter {exc.args[0]!r}") from None
-    except PlanError as exc:
-        raise CompileError(c.id, str(exc)) from None
-    except ValueError as exc:
+    except ValueError as exc:  # PlanError included
         raise CompileError(c.id, str(exc)) from None
 
 
@@ -564,6 +562,8 @@ def check(
     `limit` caps violations per constraint (reaching it stops that
     constraint early); `budget` is wall-clock seconds per constraint.
     """
+    if budget is not None and math.isnan(budget):
+        raise ValueError("budget must be a number of seconds, not NaN")
     outcomes: list[CheckOutcome] = []
     for c in catalog.constraints:
         if c.status != IMPLEMENTED:

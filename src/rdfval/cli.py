@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +65,13 @@ _STATUS_COLORS = {
     NOT_IMPLEMENTED_STATUS: None,
     SOURCE_INCOMPLETE: "yellow",
 }
+
+
+def _reject_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # FloatRange(min=0) lets NaN through, and a NaN deadline never passes.
+    if math.isnan(value):
+        raise click.BadParameter("nan is not a number of seconds")
+    return value
 
 
 def _operational_errors(f):
@@ -154,6 +162,7 @@ def main() -> None:
     default=DEFAULT_BUDGET,
     show_default=True,
     type=click.FloatRange(min=0),
+    callback=_reject_nan,
     help="Seconds per constraint.",
 )
 @click.option(
@@ -263,7 +272,9 @@ def harvest(sources_path, out_dir, page_size, timeout, concurrency) -> None:
 @main.command()
 @_campaign_options
 @click.option("--limit", default=DEFAULT_LIMIT, show_default=True, type=click.IntRange(min=0))
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=click.FloatRange(min=0))
+@click.option(
+    "--budget", default=DEFAULT_BUDGET, show_default=True, type=click.FloatRange(min=0), callback=_reject_nan
+)
 @_operational_errors
 def campaign(sources_path, out_dir, page_size, timeout, concurrency, limit, budget) -> None:
     """Harvest every source, check it against its pack, and write reports."""

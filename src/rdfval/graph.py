@@ -2,18 +2,20 @@
 
 Each distinct term is interned once and referenced by a dense integer id.
 The three orderings (SPO, POS, OSP) are sorted sequences of packed integer
-triples, so a lookup with any bound prefix is a pair of bisections. SPO and
-POS are built at freeze; OSP serves only lookups with the object bound and
-the predicate unbound, which validation never makes, so it is built on the
-first such lookup. While a packed triple fits in 64 bits (up to 2**21
-distinct terms) each index is an ``array("Q")`` of machine words; wider
-graphs keep plain lists of ints. Graphs are immutable once built; builders
-are single-writer.
+triples. One rule picks the index for each of the eight bound/unbound
+shapes: POS when the predicate is bound and the subject is not, OSP when
+the object is bound and the predicate is not, SPO otherwise. The bound
+positions then form a prefix of that index's order, so every lookup is a
+pair of bisections. SPO and POS are built at freeze; validation never binds
+the object without the predicate, so OSP is built on the first such lookup.
+While a packed triple fits in 64 bits (up to 2**21 distinct terms) each
+index is an ``array("Q")`` of machine words; wider graphs keep plain lists
+of ints. Graphs are immutable once built; builders are single-writer.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import groupby
 from typing import Iterator, Sequence
 
@@ -108,58 +110,50 @@ class Graph:
             osp = self._osp = _words(sorted(((v & mask) << two) | ((v >> two) << bits) | ((v >> bits) & mask) for v in self._spo), bits)
         return osp
 
-    def _range(self, index: Sequence[int], a: int | None, b: int | None, c: int | None) -> range:
-        bits = self._bits
-        two = 2 * bits
-        if a is None:
-            return range(0, len(index))
-        if b is None:
-            lo = a << two
-            hi = (a + 1) << two
-        elif c is None:
-            lo = (a << two) | (b << bits)
-            hi = (a << two) | ((b + 1) << bits)
+    def _lookup(self, s: int | None, p: int | None, o: int | None) -> tuple[Sequence[int], str, range]:
+        """The index serving a lookup (by the rule in the module docstring),
+        its field order, and the range of its entries that match."""
+        if p is not None and s is None:
+            index, order, a, b, c = self._pos, "pos", p, o, s
+        elif o is not None and p is None:
+            index, order, a, b, c = self._osp_index(), "osp", o, s, p
         else:
-            lo = (a << two) | (b << bits) | c
-            hi = lo + 1
-        return range(bisect_left(index, lo), bisect_right(index, hi - 1))
+            index, order, a, b, c = self._spo, "spo", s, p, o
+        if a is None:
+            return index, order, range(len(index))
+        bits = self._bits
+        lo, width = a << (2 * bits), 1 << (2 * bits)
+        if b is not None:
+            lo, width = lo | (b << bits), 1 << bits
+            if c is not None:
+                lo, width = lo | c, 1
+        return index, order, range(bisect_left(index, lo), bisect_left(index, lo + width))
+
+    def _bound_ids(self, s: Term | None, p: Term | None, o: Term | None) -> list[int | None] | None:
+        """Ids of the bound terms, None for unbound ones; None overall when a
+        bound term is absent from the graph."""
+        ids = [None if t is None else self._ids.get(t, -1) for t in (s, p, o)]
+        return None if -1 in ids else ids
 
     def match_ids(
         self, s: int | None, p: int | None, o: int | None
     ) -> Iterator[tuple[int, int, int]]:
         """Matching triples as id tuples; index row order (deterministic)."""
+        index, order, rows = self._lookup(s, p, o)
         bits, mask = self._bits, self._mask
         two = 2 * bits
-        if s is not None:
-            if p is not None:
-                idx = self._spo
-                for i in self._range(idx, s, p, o):
-                    v = idx[i]
-                    yield (v >> two, (v >> bits) & mask, v & mask)
-            elif o is not None:
-                idx = self._osp_index()
-                for i in self._range(idx, o, s, None):
-                    v = idx[i]
-                    yield ((v >> bits) & mask, v & mask, v >> two)
-            else:
-                idx = self._spo
-                for i in self._range(idx, s, None, None):
-                    v = idx[i]
-                    yield (v >> two, (v >> bits) & mask, v & mask)
-        elif p is not None:
-            idx = self._pos
-            for i in self._range(idx, p, o, None):
-                v = idx[i]
-                yield (v & mask, v >> two, (v >> bits) & mask)
-        elif o is not None:
-            idx = self._osp_index()
-            for i in self._range(idx, o, None, None):
-                v = idx[i]
-                yield ((v >> bits) & mask, v & mask, v >> two)
-        else:
-            idx = self._spo
-            for v in idx:
+        if order == "spo":
+            for i in rows:
+                v = index[i]
                 yield (v >> two, (v >> bits) & mask, v & mask)
+        elif order == "pos":
+            for i in rows:
+                v = index[i]
+                yield (v & mask, v >> two, (v >> bits) & mask)
+        else:
+            for i in rows:
+                v = index[i]
+                yield ((v >> bits) & mask, v & mask, v >> two)
 
     def match(
         self,
@@ -172,52 +166,17 @@ class Graph:
         The index with the longest bound prefix serves the scan, so output
         order is deterministic for a given pattern shape.
         """
-        si = pi = oi = None
-        if s is not None:
-            si = self._ids.get(s)
-            if si is None:
-                return
-        if p is not None:
-            pi = self._ids.get(p)
-            if pi is None:
-                return
-        if o is not None:
-            oi = self._ids.get(o)
-            if oi is None:
-                return
+        ids = self._bound_ids(s, p, o)
+        if ids is None:
+            return
         terms = self._terms
-        for a, b, c in self.match_ids(si, pi, oi):
+        for a, b, c in self.match_ids(*ids):
             yield Triple(terms[a], terms[b], terms[c])
 
     def count(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> int:
         """Number of matching triples, without materializing them."""
-        si = pi = oi = None
-        if s is not None:
-            si = self._ids.get(s)
-            if si is None:
-                return 0
-        if p is not None:
-            pi = self._ids.get(p)
-            if pi is None:
-                return 0
-        if o is not None:
-            oi = self._ids.get(o)
-            if oi is None:
-                return 0
-        return self.count_ids(si, pi, oi)
-
-    def count_ids(self, s: int | None, p: int | None, o: int | None) -> int:
-        if s is not None:
-            if p is not None:
-                return len(self._range(self._spo, s, p, o))
-            if o is not None:
-                return len(self._range(self._osp_index(), o, s, None))
-            return len(self._range(self._spo, s, None, None))
-        if p is not None:
-            return len(self._range(self._pos, p, o, None))
-        if o is not None:
-            return len(self._range(self._osp_index(), o, None, None))
-        return len(self._spo)
+        ids = self._bound_ids(s, p, o)
+        return 0 if ids is None else len(self._lookup(*ids)[2])
 
 
 class GraphBuilder:

@@ -257,26 +257,23 @@ def _fetch_page(
     raise _PageFailure(last_reason)
 
 
-def harvest(source: Source, *, session=None, sleep=time.sleep) -> HarvestResult:
+def harvest(source: Source, *, sleep=time.sleep) -> HarvestResult:
     """Drain a source page by page.
 
     A failing first page makes the source unavailable; a failure after at
     least one page yields a partial result with everything fetched so far.
     """
-    owns_session = session is None
-    if owns_session:
-        # The HTTP stack is imported here, not at module level, so that
-        # processes that only validate never load it.
-        import requests
+    # The HTTP stack is imported here, not at module level, so that
+    # processes that only validate never load it.
+    import requests
 
-        session = requests.Session()
     builder = GraphBuilder()
     # Results scope blank labels per result set; one scope across the
     # pages keeps a label that recurs on a later page the same node.
     blanks = _EndpointBlanks()
     pages = 0
     offset = 0
-    try:
+    with requests.Session() as session:
         while True:
             try:
                 rows = _fetch_page(session, source, offset, sleep, blanks)
@@ -295,9 +292,6 @@ def harvest(source: Source, *, session=None, sleep=time.sleep) -> HarvestResult:
                     blank_nodes=len(blanks),
                 )
             offset += source.page_size
-    finally:
-        if owns_session:
-            session.close()
 
 
 def profile(g: Graph, classes) -> tuple[int, ...]:
@@ -384,7 +378,6 @@ def run_campaign(
     budget: float = DEFAULT_BUDGET,
     concurrency: int = 4,
     do_check: bool = True,
-    session_factory=None,
     sleep=time.sleep,
     log=None,
 ) -> list[SourceRun]:
@@ -471,8 +464,7 @@ def run_campaign(
                     outcomes, from_cache=True,
                 )
 
-        session = session_factory() if session_factory is not None else None
-        result = harvest(source, session=session, sleep=sleep)
+        result = harvest(source, sleep=sleep)
         sdir.mkdir(parents=True, exist_ok=True)
         _write_data(data_path, result.graph)
         classes = PROFILE_CLASSES.get(source.vocabulary, ())

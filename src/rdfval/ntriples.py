@@ -75,11 +75,26 @@ def unescape_string(raw: str, line: int, column: int) -> str:
             code = int(hexpart, 16)
             if code > 0x10FFFF:
                 raise ParseError(line, column + i, "escape beyond Unicode range")
+            if 0xD800 <= code <= 0xDFFF:
+                # A lone surrogate is no character: UTF-8 cannot encode it.
+                raise ParseError(line, column + i, "escape names a surrogate code point")
             out.append(chr(code))
             i += 2 + width
         else:
             raise ParseError(line, column + i, f"unknown escape \\{e}")
     return "".join(out)
+
+
+def decode_utf8(data: bytes | str) -> str:
+    """``data`` as text; bytes that are not UTF-8 are a ParseError on the
+    line of the first bad byte."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad_line = data[: exc.start].count(b"\n") + 1
+        raise ParseError(bad_line, 1, f"input is not UTF-8: {exc.reason}") from None
 
 
 def _column_of_error(line_text: str) -> int:
@@ -108,14 +123,7 @@ def parse_ntriples(data: bytes | str, name: str | None = None) -> Graph:
     Duplicate triples collapse (set semantics). The whole parse fails on the
     first malformed line.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            bad_line = data[: exc.start].count(b"\n") + 1
-            raise ParseError(bad_line, 1, f"input is not UTF-8: {exc.reason}") from None
-    else:
-        text = data
+    text = decode_utf8(data)
     del data  # frees input bytes the caller passed without keeping
     builder = GraphBuilder()
     _add_lines(text, builder)

@@ -71,9 +71,6 @@ Atom = Union[Term, Variable]
 # ---------------------------------------------------------------------------
 # Expressions
 
-COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-
 class Expr:
     __slots__ = ()
 
@@ -306,7 +303,7 @@ def _validate_expr(e: Expr, problems: list[str]) -> None:
         except re.error as exc:
             problems.append(f"bad regex {e.pattern!r}: {exc}")
     elif isinstance(e, Compare):
-        if e.op not in COMPARE_OPS:
+        if e.op not in _OPS:
             problems.append(f"unknown comparison operator {e.op!r}")
         _validate_expr(e.lhs, problems)
         _validate_expr(e.rhs, problems)

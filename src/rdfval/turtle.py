@@ -14,7 +14,7 @@ import re
 from urllib.parse import urljoin
 
 from .graph import Graph, GraphBuilder
-from .ntriples import ParseError, make_literal, unescape_string
+from .ntriples import ParseError, decode_utf8, make_literal, unescape_string
 from .terms import BlankNode, Iri, Literal, RDF_TYPE, SCHEME_RE, Term
 
 
@@ -326,14 +326,7 @@ class _TurtleParser:
 
 def parse_turtle_subset(data: bytes | str, name: str | None = None) -> Graph:
     """Parse the supported Turtle subset into a frozen Graph."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            bad_line = data[: exc.start].count(b"\n") + 1
-            raise ParseError(bad_line, 1, f"input is not UTF-8: {exc.reason}") from None
-    else:
-        text = data
+    text = decode_utf8(data)
     del data  # frees input bytes the caller passed without keeping
     parser = _TurtleParser(text)
     del text

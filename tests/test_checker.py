@@ -253,6 +253,14 @@ def test_exhausted_budget_is_an_engine_failure():
     assert outcome.violations == ()
 
 
+def test_nan_budget_is_rejected():
+    # A NaN deadline never passes, so the budget would bound nothing.
+    g = graph((iri("a"), RDF_TYPE, iri("C")))
+    c = constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")})
+    with pytest.raises(ValueError, match="NaN"):
+        run_one(g, c, budget=float("nan"))
+
+
 def test_limit_stops_the_constraint_after_a_bounded_number_of_rows(monkeypatch):
     g = graph((iri("x"), iri("p"), iri("o")), *[(iri(f"s{i}"), RDF_TYPE, iri("C")) for i in range(2000)])
     c = constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")})

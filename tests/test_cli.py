@@ -94,7 +94,7 @@ def test_engine_failures_never_fail_the_run(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["validate", "campaign"])
-@pytest.mark.parametrize("option, value", [("--limit", "-1"), ("--budget", "-1")])
+@pytest.mark.parametrize("option, value", [("--limit", "-1"), ("--budget", "-1"), ("--budget", "nan")])
 def test_negative_limit_or_budget_is_a_usage_error(tmp_path, command, option, value):
     if command == "validate":
         cat = write_catalog(tmp_path / "cat.json", entry("V-1"))

@@ -151,6 +151,8 @@ GOOD = "<urn:ex:s> <urn:ex:p> <urn:ex:o> .\n"
          + '<urn:ex:s> <urn:ex:p> "a\\qb" .\n', 3, 25, "unknown escape"),
         (GOOD + '\t<urn:ex:s> <urn:ex:p> "\\u00ZZ"@en .\n<urn:ex:s> <urn:ex:p> "\\u00ZZ"@en .\n',
          2, 25, "bad \\u escape"),
+        # A lone surrogate cannot be written back out as UTF-8.
+        (GOOD + '<urn:a> <urn:p> "a\\uD800b" .\n', 2, 19, "surrogate"),
         # A language tag longer than eight letters.
         (GOOD + '<urn:ex:s> <urn:ex:p> "x"@en .\n  <urn:ex:s> <urn:ex:p> "x"@englishxx .\n',
          3, 3, "malformed triple line"),
@@ -180,6 +182,7 @@ def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
          2, 32, "unexpected word"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p \"\\q\" .\nex:s ex:p \"\\q\" .\n",
          2, 12, "unknown escape"),
+        ("@prefix ex: <urn:ex:> .\nex:s ex:p \"a\\U0000DFFF\" .\n", 2, 13, "surrogate"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p \"\"\"x\"\"\" .\n", 2, 11, "triple-quoted"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p 12 .\n", 2, 11, "numeric"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p ( ex:o ) .\n", 2, 11, "collection"),
