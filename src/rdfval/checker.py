@@ -124,7 +124,7 @@ def _union(patterns: list[Pattern], focus, path=None, value=None) -> Plan:
     the path and the value where they are variables."""
     pipelines = tuple(pipeline for p in patterns for pipeline in plan(p).pipelines)
     columns = tuple(a for a in (focus, path, value) if isinstance(a, Variable))
-    return Plan(pipelines, focus, path, value, columns)
+    return Plan(pipelines, path, value, columns)
 
 
 def _int_lit(n: int) -> Constant:

@@ -32,7 +32,7 @@ from .checker import (
 )
 from .graph import Graph, GraphBuilder
 from .graphio import load_graph
-from .harvest import load_sources, run_campaign, write_atomic
+from .harvest import load_sources, run_campaign, write_atomic, write_json
 # Not called here: perfbench/layers.py wraps these two names on this module.
 from .checker import violations_to_graph  # noqa: F401
 from .ntriples import serialize_ntriples  # noqa: F401
@@ -203,9 +203,7 @@ def validate(data_paths, catalog_path, pack, limit, budget, fail_on, out_dir) ->
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         column = SourceOutcomes(Path(data_paths[0]).stem, pack_name, "local", tuple(outcomes))
-        write_atomic(
-            out / "outcomes.json", json.dumps(outcomes_document(column), indent=2) + "\n"
-        )
+        write_json(out / "outcomes.json", outcomes_document(column))
         write_atomic(out / "violations.nt", violations_ntriples(outcomes))
         for fmt in ("csv", "md"):
             write_atomic(out / f"matrix.{fmt}", render_matrix(catalog, [column], fmt))

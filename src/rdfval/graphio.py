@@ -13,7 +13,7 @@ from .ntriples import parse_ntriples
 from .turtle import parse_turtle_subset
 
 
-def load_graph(path: str | Path, name: str | None = None) -> Graph:
+def load_graph(path: str | Path) -> Graph:
     p = Path(path)
     suffixes = [s.lower() for s in p.suffixes]
     gz = bool(suffixes) and suffixes[-1] == ".gz"
@@ -26,9 +26,5 @@ def load_graph(path: str | Path, name: str | None = None) -> Graph:
         parse = parse_ntriples
     else:
         raise ValueError(f"cannot infer RDF format from file name: {p.name}")
-    if name is None:
-        name = p.name
-        for _ in range(2 if gz else 1):
-            name = name.rsplit(".", 1)[0]
     # No local holds the bytes, so the parser can free them once decoded.
-    return parse(gzip.decompress(p.read_bytes()) if gz else p.read_bytes(), name=name)
+    return parse(gzip.decompress(p.read_bytes()) if gz else p.read_bytes())

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import time
+import traceback
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .checker import (
     mark_source_incomplete,
 )
 from .graph import Graph, GraphBuilder
-from .ntriples import serialize_ntriples
+from .ntriples import parse_ntriples, serialize_ntriples
 from .packs import PROFILE_CLASSES, load_pack
 from .report import SourceOutcomes, outcomes_document, parse_outcomes_document
 from .terms import BlankNode, Iri, Literal, RDF_TYPE, Term
@@ -278,20 +279,19 @@ def harvest(source: Source, *, sleep=time.sleep) -> HarvestResult:
             try:
                 rows = _fetch_page(session, source, offset, sleep, blanks)
             except _PageFailure as exc:
-                status = UNAVAILABLE if pages == 0 else PARTIAL
-                return HarvestResult(
-                    source, status, builder.freeze(name=source.abbreviation), pages, str(exc),
-                    blank_nodes=len(blanks),
-                )
+                status, reason = UNAVAILABLE if pages == 0 else PARTIAL, str(exc)
+                break
             pages += 1
             for s, p, o in rows:
                 builder.add(s, p, o)
             if len(rows) < source.page_size:
-                return HarvestResult(
-                    source, COMPLETE, builder.freeze(name=source.abbreviation), pages,
-                    blank_nodes=len(blanks),
-                )
+                status, reason = COMPLETE, None
+                break
             offset += source.page_size
+    return HarvestResult(
+        source, status, builder.freeze(name=source.abbreviation), pages, reason,
+        blank_nodes=len(blanks),
+    )
 
 
 def profile(g: Graph, classes) -> tuple[int, ...]:
@@ -330,6 +330,11 @@ def write_atomic(path: Path, data: bytes | str) -> None:
         raise
 
 
+def write_json(path: Path, doc) -> None:
+    """``write_atomic`` of ``doc`` as indented JSON with a final newline."""
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
+
+
 def _read_json(path: Path):
     """A stored JSON document, or None when it is missing, unreadable or
     torn."""
@@ -349,13 +354,12 @@ def _write_data(path: Path, graph: Graph) -> None:
 
 
 def read_data(path: Path) -> Graph:
-    from .ntriples import parse_ntriples
-
     with gzip.open(path, "rb") as z:
         return parse_ntriples(z.read(), name=path.parent.name)
 
 
-def _profile_document(source: Source, result: HarvestResult, classes) -> dict:
+def _profile_document(source: Source, result: HarvestResult) -> dict:
+    classes = PROFILE_CLASSES.get(source.vocabulary, ())
     counts = profile(result.graph, classes)
     return {
         "source": source.abbreviation,
@@ -384,12 +388,14 @@ def run_campaign(
     """Harvest, check, and persist every source under ``out_dir``.
 
     Each source gets ``<abbr>/data.nt.gz``, ``profile.json`` and (when
-    checking) ``outcomes.json``, each replaced atomically.  A source already
-    stored as complete is not fetched again; if only its outcomes are
-    missing they are computed from the stored data.  An unreadable or
-    malformed profile, outcomes or data file counts as missing; a source
-    whose stored data cannot be read is fetched again.  Partial harvests
-    keep their outcomes but flag every result as source-incomplete.
+    checking) ``outcomes.json``, each replaced atomically and in that
+    order; ``profile.json`` commits the data, and a fetch first removes the
+    old profile and outcomes.  A source committed as complete is not
+    fetched again: its outcomes are read back, or computed from the stored
+    data when they are unreadable, and unreadable data is fetched again.
+    Partial harvests keep their outcomes but flag every result as
+    source-incomplete.  A source whose run raises is reported unavailable,
+    with the exception as its reason, and the others go on.
     ``do_check=False`` harvests and profiles only.
     """
     sources = list(sources)
@@ -411,79 +417,62 @@ def run_campaign(
         if log is not None:
             log(message)
 
-    def check_and_store(source: Source, path: Path, status: str, graph: Graph):
-        outcomes = tuple(
-            check(graph, catalogs[source.vocabulary], limit=limit, budget=budget)
-        )
+    def store(source: Source, status: str, graph: Graph | None) -> tuple[CheckOutcome, ...]:
+        """Write the source's outcomes.json: the checks of ``graph`` (none
+        without one), flagged source-incomplete for a partial harvest."""
+        outcomes: tuple[CheckOutcome, ...] = ()
+        if graph is not None:
+            outcomes = tuple(check(graph, catalogs[source.vocabulary], limit=limit, budget=budget))
         if status == PARTIAL:
             outcomes = tuple(mark_source_incomplete(outcomes, parts_missing=1))
         column = SourceOutcomes(source.abbreviation, source.vocabulary, status, outcomes)
-        write_atomic(path, json.dumps(outcomes_document(column), indent=2) + "\n")
+        write_json(out / source.abbreviation / "outcomes.json", outcomes_document(column))
         return outcomes
 
-    def run_one(source: Source) -> SourceRun:
+    def resume(source: Source) -> SourceRun | None:
+        """The run a committed complete harvest still answers, from its
+        stored outcomes or its stored data; None when it must be fetched."""
         sdir = out / source.abbreviation
-        data_path = sdir / "data.nt.gz"
-        profile_path = sdir / "profile.json"
-        outcomes_path = sdir / "outcomes.json"
-
-        prof = _read_json(profile_path) if data_path.exists() else None
+        prof = _read_json(sdir / "profile.json") if (sdir / "data.nt.gz").exists() else None
         if not (
             isinstance(prof, dict)
             and prof.get("status") == COMPLETE
             and isinstance(prof.get("pages-fetched"), int)
             and isinstance(prof.get("triples"), int)
         ):
-            prof = None
-        if prof is not None:
-            if not do_check:
-                say(f"{source.abbreviation}: already complete, skipped")
-                return SourceRun(
-                    source, COMPLETE, prof["pages-fetched"], prof["triples"], None, (),
-                    from_cache=True,
-                )
-            try:
-                column = parse_outcomes_document(_read_json(outcomes_path))
-            except ValueError:
-                column = None
-            if column is not None:
-                say(f"{source.abbreviation}: already complete, skipped")
-                return SourceRun(
-                    source, COMPLETE, prof["pages-fetched"], prof["triples"], None,
-                    column.outcomes, from_cache=True,
-                )
-            try:
-                stored = read_data(data_path)
-            except (OSError, EOFError, zlib.error, ValueError):
-                stored = None  # torn or damaged: fetched again below
-            if stored is not None:
-                outcomes = check_and_store(source, outcomes_path, COMPLETE, stored)
-                say(f"{source.abbreviation}: checked stored data")
-                return SourceRun(
-                    source, COMPLETE, prof["pages-fetched"], prof["triples"], None,
-                    outcomes, from_cache=True,
-                )
-
-        result = harvest(source, sleep=sleep)
-        sdir.mkdir(parents=True, exist_ok=True)
-        _write_data(data_path, result.graph)
-        classes = PROFILE_CLASSES.get(source.vocabulary, ())
-        write_atomic(
-            profile_path,
-            json.dumps(_profile_document(source, result, classes), indent=2) + "\n",
-        )
+            return None
         outcomes: tuple[CheckOutcome, ...] = ()
-        if do_check and result.status != UNAVAILABLE:
-            outcomes = check_and_store(
-                source, outcomes_path, result.status, result.graph
-            )
-        elif do_check:
-            column = SourceOutcomes(
-                source.abbreviation, source.vocabulary, UNAVAILABLE, ()
-            )
-            write_atomic(
-                outcomes_path, json.dumps(outcomes_document(column), indent=2) + "\n"
-            )
+        message = "already complete, skipped"
+        if do_check:
+            try:
+                outcomes = parse_outcomes_document(_read_json(sdir / "outcomes.json")).outcomes
+            except ValueError:
+                try:
+                    stored = read_data(sdir / "data.nt.gz")
+                except (OSError, EOFError, zlib.error, ValueError):
+                    return None  # torn or damaged
+                outcomes = store(source, COMPLETE, stored)
+                message = "checked stored data"
+        say(f"{source.abbreviation}: {message}")
+        return SourceRun(
+            source, COMPLETE, prof["pages-fetched"], prof["triples"], None, outcomes,
+            from_cache=True,
+        )
+
+    def fetch(source: Source) -> SourceRun:
+        result = harvest(source, sleep=sleep)
+        sdir = out / source.abbreviation
+        # The old profile would commit data this fetch replaces, and the old
+        # outcomes describe that data.
+        for name in ("profile.json", "outcomes.json"):
+            (sdir / name).unlink(missing_ok=True)
+        sdir.mkdir(parents=True, exist_ok=True)
+        _write_data(sdir / "data.nt.gz", result.graph)
+        write_json(sdir / "profile.json", _profile_document(source, result))
+        outcomes: tuple[CheckOutcome, ...] = ()
+        if do_check:
+            graph = None if result.status == UNAVAILABLE else result.graph
+            outcomes = store(source, result.status, graph)
         say(
             f"{source.abbreviation}: {result.status}, {result.pages_fetched} page(s), "
             f"{len(result.graph)} triples"
@@ -496,6 +485,14 @@ def run_campaign(
             result.reason,
             outcomes,
         )
+
+    def run_one(source: Source) -> SourceRun:
+        try:
+            return resume(source) or fetch(source)
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            say(f"{source.abbreviation}: {UNAVAILABLE}, {reason}\n{traceback.format_exc().rstrip()}")
+            return SourceRun(source, UNAVAILABLE, 0, 0, reason, ())
 
     if concurrency <= 1 or len(sources) <= 1:
         return [run_one(s) for s in sources]

@@ -283,14 +283,13 @@ class Plan:
     """Executable form of a pattern: a union of linear pipelines.
 
     `columns` are the variables whose values make up each result row, in
-    order; a pipeline that does not bind one reads None there.  `focus`,
-    `path`, and `value` name the subject, property, and object of interest
-    to a caller, and are inert during evaluation itself.  `path` and
-    `value` may also be fixed terms when the pattern does not bind them.
+    order; a pipeline that does not bind one reads None there.  `path`
+    and `value` name the property and object of interest to a caller, and
+    are inert during evaluation itself; either may also be a fixed term
+    when the pattern does not bind it.
     """
 
     pipelines: tuple[Pipeline, ...]
-    focus: Variable | None = None
     path: Variable | Iri | None = None
     value: Variable | Term | None = None
     columns: tuple[Variable, ...] = ()

@@ -1,18 +1,21 @@
-"""Byte-for-byte stability of the `validate --out` report files.
+"""Byte-for-byte stability of the `validate --out` and `campaign` files.
 
 Every fixture is checked against every shipped pack, and the sha256 of
 each report file is compared with a digest recorded from a known-good
-build, together with the exit code.  A change that alters any output,
-even by one byte, has to update a digest here, so the difference shows
-in its diff.
+build, together with the exit code.  A campaign over the four fixtures,
+each served by a mock endpoint, is pinned the same way.  A change that
+alters any output, even by one byte, has to update a digest here, so the
+difference shows in its diff.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import rdfval.packs
+from mockserver import MockEndpoint
 from rdfval.cli import main
 from rdfval.packs import FIXTURES, PACKS
 
@@ -146,3 +149,66 @@ GOLDEN = {
 @pytest.mark.parametrize("pack", PACKS)
 def test_report_files_match_their_recorded_digests(tmp_path, fixture, pack):
     assert report_digests(fixture, pack, tmp_path) == GOLDEN[fixture, pack]
+
+
+# ---------------------------------------------------------------------------
+# A fixture campaign: each fixture served by its own mock endpoint.
+
+CAMPAIGN_PAGE_SIZE = 40
+
+
+def campaign_digests(out: Path) -> dict[str, str]:
+    """Run `campaign` over the four fixtures and return the sha256 of every
+    file it writes, by path under ``out``.  The line of profile.json that
+    names the endpoint is dropped first, because it holds the port."""
+    endpoints = {name: MockEndpoint(rdfval.packs.load_fixture(name)) for name in sorted(FIXTURES)}
+    try:
+        sources = out.parent / "sources.json"
+        sources.write_text(json.dumps([
+            {"abbreviation": name, "endpoint-url": ep.url, "vocabulary": FIXTURES[name],
+             "page-size": CAMPAIGN_PAGE_SIZE, "max-retries": 0}
+            for name, ep in endpoints.items()
+        ]), encoding="utf-8")
+        result = CliRunner().invoke(main, ["campaign", "--sources", str(sources), "--out", str(out)])
+    finally:
+        for ep in endpoints.values():
+            ep.close()
+    assert result.exit_code == 0, result.output
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "profile.json":
+            data = b"".join(line for line in data.splitlines(keepends=True) if b'"endpoint-url"' not in line)
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+# file under the campaign directory -> sha256
+CAMPAIGN_GOLDEN = {
+    "aggregate.csv": "59d31f6cd1e0402960ee8700f08952d73808d6d033aaca2a86cae28ad3e487df",
+    "aggregate.md": "4675d8425a5fbbabff8cb7513a85aa0fb4a7201e1149d548a12dbaae5e4d3d42",
+    "counts.csv": "cc4763e4b5a4610c3f491b9580211584927d52d3edbd07e9722b670b2d8baa26",
+    "counts.md": "b2a4470f655a7f2c964699a1968acfa229119a0a8d62226dc664835a169a3e61",
+    "cube-clean/data.nt.gz": "ede5e0b56dfa93c765144b96e0105b94f023c30e0052d2770cad0ed4c1624697",
+    "cube-clean/outcomes.json": "8236cf198a0ae3512e654b6f0e5788e10e4224ad366dd02a69cb5c94b6ae7736",
+    "cube-clean/profile.json": "be613f31e71b0db8a7940d1f1f0a170df0326f70f79e0335fa650bbd0dc96a89",
+    "cube-gaps/data.nt.gz": "0ae57881c15fb3a05eb19c0226cb97b9fe9361a1fa51dd455fa563bda35fffda",
+    "cube-gaps/outcomes.json": "1465b0c0c63ebe198c4732aed6a552ad00a9aab806a9a6e3f3667549e8dbce7b",
+    "cube-gaps/profile.json": "d9c7f2677889d4c0d00af652242639091b96ae25534407bd8ff8e7313d2174c6",
+    "ddi-rdf-matrix.csv": "1ca60e95b6a00c4c5bdb03cf023f8f3a20733da7fd699684270926902fc4146d",
+    "ddi-rdf-matrix.md": "879e4c2a4b5980cf05b8de9b793e2fd921e7dd2f592635be074754e01c6ad3e8",
+    "qb-matrix.csv": "8829bb84a89f5e7ade66706199b1969a4003bfc4e0db83a5cbe970497b34eb95",
+    "qb-matrix.md": "9bc20d864fe87f4c8bfa46d60f18abff3c9efcb803b5730044c6754327ccea84",
+    "skos-matrix.csv": "1dbb602baa7b98a033d507b631f33e9261b89eb348bd1ea788e16d2cce7a0b3b",
+    "skos-matrix.md": "7950536942e607a5a37d440ea7a188a640af1687c8f4a0177fe3469bfebbf2cd",
+    "study-archive/data.nt.gz": "94ac988042007f7ff910bb866e5a69082bf73ff11a369785b23c792fc39f6129",
+    "study-archive/outcomes.json": "1764d58928938e7345846feef282d8d705d5fbd3b991c84fa61ec6bc6bb40827",
+    "study-archive/profile.json": "7f31f53946bdd00a963b512e8b961be16052d86081d850e31d2362a91ba444ca",
+    "thesaurus/data.nt.gz": "963f3f5b07c7ff3b39f5d288f31d2a29bae848b0621b4981a2f23a5765beeff1",
+    "thesaurus/outcomes.json": "652eb2e9ff01c71a9492e4cdee985e92a36aaccadb8017427bc3c934f1b80c42",
+    "thesaurus/profile.json": "58f747e274b6a5acb7c22a1c6db681ba758fd28d6145eba6c570d6e7d1ea545d",
+}
+
+
+def test_campaign_files_match_their_recorded_digests(tmp_path):
+    assert campaign_digests(tmp_path / "out") == CAMPAIGN_GOLDEN

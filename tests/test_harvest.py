@@ -20,7 +20,7 @@ from rdfval.harvest import (
     read_data,
     run_campaign,
 )
-from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE
+from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_STRING
 
 EX = "urn:ex:"
 
@@ -481,3 +481,62 @@ def test_campaign_concurrency_preserves_order(tmp_path):
         )
     assert [r.source.abbreviation for r in runs] == ["one", "two", "three"]
     assert all(r.status == COMPLETE for r in runs)
+
+
+def test_campaign_after_a_complete_harvest_checks_the_complete_data(tmp_path):
+    # A partial run, then a harvest that completes the source: the next
+    # campaign must check the complete data, not serve the partial outcomes.
+    g = sample_graph()
+    with mockserver.MockEndpoint(g) as ep:
+        ep.fail_offsets.add(7)
+        (first,) = run_campaign([source(ep.url, page_size=7)], tmp_path, **campaign_kw())
+        ep.fail_offsets.clear()
+        run_campaign([source(ep.url, page_size=7)], tmp_path, **campaign_kw(do_check=False))
+        before = len(ep.requests)
+        (run,) = run_campaign([source(ep.url, page_size=7)], tmp_path, **campaign_kw())
+        assert len(ep.requests) == before
+    assert first.status == PARTIAL
+    assert run.status == COMPLETE and run.triples == len(g)
+    assert [o.status for o in run.outcomes] == ["violated"]
+    doc = json.loads((tmp_path / "src" / "outcomes.json").read_text())
+    assert doc["harvest-status"] == COMPLETE
+    assert [o["status"] for o in doc["outcomes"]] == ["violated"]
+
+
+def test_a_source_that_raises_does_not_stop_the_others(tmp_path):
+    (tmp_path / "a").write_text("not a directory")
+    g = sample_graph()
+    with mockserver.MockEndpoint(g) as ep:
+        a, b = run_campaign(
+            [source(ep.url, abbreviation="a"), source(ep.url, abbreviation="b")],
+            tmp_path,
+            **campaign_kw(),
+        )
+    assert a.status == UNAVAILABLE
+    assert str(tmp_path / "a") in a.reason
+    assert (a.pages_fetched, a.triples, a.outcomes) == (0, 0, ())
+    assert (tmp_path / "a").read_text() == "not a directory"
+    assert b.status == COMPLETE
+    assert [o.constraint_id for o in b.outcomes] == ["T-1"]
+    assert (tmp_path / "b" / "outcomes.json").exists()
+
+
+def test_a_lone_surrogate_makes_a_malformed_page(tmp_path):
+    # JSON may escape an unpaired surrogate; no RDF term holds one.
+    g = sample_graph(2)
+    lone = types.SimpleNamespace(lexical="a\ud800b", language=None, datatype=XSD_STRING)
+    sleeps = []
+    with mockserver.MockEndpoint(g) as bad, mockserver.MockEndpoint(g) as good:
+        bad.rows = [types.SimpleNamespace(subject=iri("s"), predicate=iri("p"), object=lone)]
+        bad_run, good_run = run_campaign(
+            [source(bad.url, abbreviation="bad", max_retries=1),
+             source(good.url, abbreviation="good")],
+            tmp_path,
+            **campaign_kw(sleep=sleeps.append),
+        )
+        attempts = len(bad.requests)
+    assert bad_run.status == UNAVAILABLE
+    assert bad_run.reason.startswith("malformed result set:")
+    assert "surrogate" in bad_run.reason
+    assert attempts == 2 and sleeps == [1.0]
+    assert good_run.status == COMPLETE

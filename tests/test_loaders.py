@@ -137,6 +137,15 @@ def test_spellings_of_one_term_share_an_id():
 GOOD = "<urn:ex:s> <urn:ex:p> <urn:ex:o> .\n"
 
 
+def as_input(text):
+    """The UTF-8 bytes of ``text``, or ``text`` itself when it holds a lone
+    surrogate: only a str can carry one."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        return text
+
+
 @pytest.mark.parametrize(
     "text, line, column, reason",
     [
@@ -153,6 +162,11 @@ GOOD = "<urn:ex:s> <urn:ex:p> <urn:ex:o> .\n"
          2, 25, "bad \\u escape"),
         # A lone surrogate cannot be written back out as UTF-8.
         (GOOD + '<urn:a> <urn:p> "a\\uD800b" .\n', 2, 19, "surrogate"),
+        # Raw lone surrogates, which only a str can carry: in a literal, in a
+        # predicate and in a datatype IRI.
+        (GOOD + '<urn:a> <urn:p> "a\ud800b" .\n', 2, 17, "surrogate"),
+        (GOOD + '<urn:a> <urn:p\udc00> "ab" .\n', 2, 10, "forbidden character"),
+        (GOOD + '<urn:a> <urn:p> "x"^^<urn:d\udfff> .\n', 2, 23, "forbidden character"),
         # A language tag longer than eight letters.
         (GOOD + '<urn:ex:s> <urn:ex:p> "x"@en .\n  <urn:ex:s> <urn:ex:p> "x"@englishxx .\n',
          3, 3, "malformed triple line"),
@@ -167,7 +181,7 @@ GOOD = "<urn:ex:s> <urn:ex:p> <urn:ex:o> .\n"
 )
 def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
     with pytest.raises(ParseError) as err:
-        parse_ntriples(text.encode("utf-8"))
+        parse_ntriples(as_input(text))
     assert (err.value.line, err.value.column) == (line, column)
     assert reason in err.value.reason
 
@@ -183,6 +197,8 @@ def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
         ("@prefix ex: <urn:ex:> .\nex:s ex:p \"\\q\" .\nex:s ex:p \"\\q\" .\n",
          2, 12, "unknown escape"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p \"a\\U0000DFFF\" .\n", 2, 13, "surrogate"),
+        ("@prefix ex: <urn:ex:> .\nex:s ex:p \"a\ud800\" .\n", 2, 11, "surrogate"),
+        ("@prefix ex: <urn:ex:> .\nex:s ex:p <urn:\udfff> .\n", 2, 11, "forbidden character"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p \"\"\"x\"\"\" .\n", 2, 11, "triple-quoted"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p 12 .\n", 2, 11, "numeric"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p ( ex:o ) .\n", 2, 11, "collection"),
@@ -193,7 +209,7 @@ def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
 )
 def test_turtle_errors_keep_their_position(text, line, column, reason):
     with pytest.raises(ParseError) as err:
-        parse_turtle_subset(text.encode("utf-8"))
+        parse_turtle_subset(as_input(text))
     assert (err.value.line, err.value.column) == (line, column)
     assert reason in err.value.reason
 

@@ -25,7 +25,8 @@ def test_iri_requires_scheme():
 
 
 def test_iri_rejects_forbidden_characters():
-    for bad in ("urn:ex:a b", "urn:ex:<a>", 'urn:ex:"a"', "urn:ex:{a}", "urn:ex:a\\b", "urn:ex:a\nb", "urn:ex:a\x01"):
+    for bad in ("urn:ex:a b", "urn:ex:<a>", 'urn:ex:"a"', "urn:ex:{a}", "urn:ex:a\\b", "urn:ex:a\nb", "urn:ex:a\x01",
+                "urn:ex:a\ud800", "urn:ex:\udfffb"):
         with pytest.raises(ValueError):
             Iri(bad)
     Iri("urn:ex:h%C3%A9llo")
