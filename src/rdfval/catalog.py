@@ -72,7 +72,6 @@ class ConstraintFamily:
     family_id: str
     params: tuple[ParamSlot, ...]
     expressivity: frozenset[str]
-    executable: bool
     min_severity: Severity | None = None
     # Cross-parameter validation beyond per-slot kinds; returns problems.
     extra_check: Callable[[Mapping[str, object]], list[str]] | None = None
@@ -131,7 +130,6 @@ def _f(
     slots: Iterable[tuple[str, str] | tuple[str, str, bool]],
     expressivity: Iterable[str],
     *,
-    executable: bool = True,
     min_severity: Severity | None = None,
     extra_check=None,
 ) -> ConstraintFamily:
@@ -144,7 +142,6 @@ def _f(
         family_id,
         tuple(built),
         frozenset(expressivity),
-        executable,
         min_severity,
         extra_check,
     )
@@ -318,7 +315,7 @@ _NON_EXECUTABLE_IDS = [
 
 FAMILIES: dict[str, ConstraintFamily] = {f.family_id: f for f in _EXECUTABLE}
 for _fid in _NON_EXECUTABLE_IDS:
-    FAMILIES[_fid] = _f(_fid, _LOOSE_SLOTS, (SPARQL,), executable=False)
+    FAMILIES[_fid] = _f(_fid, _LOOSE_SLOTS, (SPARQL,))
 del _fid
 
 
@@ -632,6 +629,12 @@ def round_percentage(value: Fraction) -> str:
 CLASSIFICATION_KEYS = (SPARQL, CL, RDFS_OWL, "info", "warning", "error")
 
 
+def mean(fractions: Iterable[Fraction]) -> Fraction:
+    """The exact unweighted mean, 0 for no fractions."""
+    fractions = list(fractions)
+    return sum(fractions, Fraction(0)) / len(fractions) if fractions else Fraction(0)
+
+
 @dataclass(frozen=True)
 class VocabularyBreakdown:
     vocabulary: str
@@ -654,31 +657,33 @@ class ClassificationSummary:
     def total_percentage(self, key: str) -> str:
         """Unweighted mean of the per-vocabulary ratios, computed on exact
         fractions before the single final rounding."""
-        breakdowns = list(self.per_vocabulary.values())
-        if not breakdowns:
-            return round_percentage(Fraction(0))
-        mean = sum((b.fraction(key) for b in breakdowns), Fraction(0)) / len(breakdowns)
-        return round_percentage(mean)
+        return round_percentage(mean(b.fraction(key) for b in self.per_vocabulary.values()))
+
+
+def tally(vocabulary: str, weighted: Iterable[tuple[Constraint, int]]) -> VocabularyBreakdown:
+    """The breakdown of (constraint, weight) pairs: each weight counts once
+    in the total, under each of its constraint's expressivity tags and
+    under its severity."""
+    total, counts = 0, dict.fromkeys(CLASSIFICATION_KEYS, 0)
+    for c, weight in weighted:
+        total += weight
+        for tag in EXPRESSIVITY_TAGS:
+            if tag in c.expressivity:
+                counts[tag] += weight
+        counts[c.severity.json_name] += weight
+    return VocabularyBreakdown(vocabulary, total, counts)
 
 
 def classify(catalog: Catalog) -> ClassificationSummary:
     """Expressivity/severity breakdown of the implemented constraints, per
     vocabulary in order of first appearance."""
-    per: dict[str, VocabularyBreakdown] = {}
-    for vocab in catalog.vocabularies():
-        members = [
-            c
-            for c in catalog.implemented()
-            if c.vocabulary == vocab
-        ]
-        counts = {key: 0 for key in CLASSIFICATION_KEYS}
-        for c in members:
-            for tag in EXPRESSIVITY_TAGS:
-                if tag in c.expressivity:
-                    counts[tag] += 1
-            counts[c.severity.json_name] += 1
-        per[vocab] = VocabularyBreakdown(vocab, len(members), counts)
-    return ClassificationSummary(per)
+    implemented = catalog.implemented()
+    return ClassificationSummary(
+        {
+            vocab: tally(vocab, ((c, 1) for c in implemented if c.vocabulary == vocab))
+            for vocab in catalog.vocabularies()
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from .query import (
     Compare,
     Constant,
     CycleProbe,
-    FALSE,
     Filter,
     GroupCount,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
     LangMatches,
+    Not,
     NotExists,
     Pattern,
     Plan,
@@ -115,9 +115,6 @@ _W = Variable("w")
 _P = Variable("p")
 _N = Variable("n")
 
-# "= false" turns a boolean test into its negation inside a Filter.
-_NOT = Constant(FALSE)
-
 
 def _union(patterns: list[Pattern], focus, path=None, value=None) -> Plan:
     """The plan of the patterns' union; its rows hold the focus first, then
@@ -188,7 +185,7 @@ def _membership(params) -> Plan:
 
 def _valid_datatype(params) -> Plan:
     dt = params.get("datatype")
-    invalid = Filter(Compare("=", IsValidForDatatype(_V, dt), _NOT))
+    invalid = Filter(Not(IsValidForDatatype(_V, dt)))
     p = params.get("property")
     if p is not None:
         return _union([And([TP(_X, p, _V), invalid])], _X, p, _V)
@@ -214,7 +211,7 @@ def _facets(params) -> Plan:
     prefix = _scope(params)
     patterns: list[Pattern] = []
     if "datatype" in params:
-        invalid = Compare("=", IsValidForDatatype(_V, params["datatype"]), _NOT)
+        invalid = Not(IsValidForDatatype(_V, params["datatype"]))
         patterns.append(And([*prefix, TP(_X, p, _V), Filter(invalid)]))
     if "min-inclusive" in params:
         patterns.append(
@@ -235,7 +232,7 @@ def _pattern_matching(params, iri_side: bool) -> Plan:
             *_scope(params),
             TP(_X, p, _V),
             kind_guard,
-            Filter(Compare("=", Regex(_V, rx), _NOT)),
+            Filter(Not(Regex(_V, rx))),
         ]
     )
     return _union([pattern], _X, p, _V)
@@ -304,7 +301,7 @@ def _language_cardinality(params) -> Plan:
             TP(_X, RDF_TYPE, c),
             TP(_X, p, _V),
             Filter(IsLiteral(_V)),
-            Filter(Compare("=", LangMatches(_V, rng), _NOT)),
+            Filter(Not(LangMatches(_V, rng))),
         ]
     )
     return _union([pattern], _X, p, _V)
@@ -342,8 +339,8 @@ def _allowed_values(params) -> Plan:
             [
                 *prefix,
                 TP(_X, p, _V),
-                Filter(Compare("=", IsIri(_V), _NOT)),
-                Filter(Compare("=", IsLiteral(_V), _NOT)),
+                Filter(Not(IsIri(_V))),
+                Filter(Not(IsLiteral(_V))),
             ]
         ),
     ]

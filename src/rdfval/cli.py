@@ -67,9 +67,10 @@ _STATUS_COLORS = {
 }
 
 
-def _reject_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # FloatRange(min=0) lets NaN through, and a NaN deadline never passes.
-    if math.isnan(value):
+def _reject_nan(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    # FloatRange lets NaN through: a NaN deadline never passes, and a NaN
+    # timeout fails the first request outside the HTTP stack's errors.
+    if value is not None and math.isnan(value):
         raise click.BadParameter("nan is not a number of seconds")
     return value
 
@@ -234,7 +235,12 @@ def _campaign_options(f):
         ),
         click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False)),
         click.option("--page-size", type=click.IntRange(min=1), help="Override every source's page size."),
-        click.option("--timeout", type=click.FloatRange(min=0, min_open=True), help="Override every source's timeout."),
+        click.option(
+            "--timeout",
+            type=click.FloatRange(min=0, max=math.inf, min_open=True, max_open=True),
+            callback=_reject_nan,
+            help="Override every source's timeout.",
+        ),
         click.option("--concurrency", default=4, show_default=True, type=click.IntRange(min=1)),
     ]
     for option in reversed(options):

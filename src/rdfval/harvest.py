@@ -9,6 +9,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import os
 import time
 import traceback
@@ -113,8 +114,8 @@ def load_sources(data) -> list[Source]:
             problems.append(f"{where}: page-size must be a positive integer")
             continue
         timeout = obj.get("timeout", DEFAULT_TIMEOUT)
-        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
-            problems.append(f"{where}: timeout must be a positive number")
+        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or not 0 < timeout < math.inf:
+            problems.append(f"{where}: timeout must be a finite positive number")
             continue
         retries = obj.get("max-retries", DEFAULT_MAX_RETRIES)
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
@@ -252,7 +253,8 @@ def _fetch_page(
             continue
         try:
             return _parse_rows(response.content, blanks)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            # json.loads raises RecursionError on deeply nested input.
             last_reason = f"malformed result set: {exc}"
             continue
     raise _PageFailure(last_reason)

@@ -1,10 +1,14 @@
 """Conjunctive pattern evaluation over frozen graphs.
 
 The pattern language is deliberately small: triple patterns joined by And,
-negation as failure (NotExists), expression filters, grouped counting and
-a depth-bounded cycle probe.  Plans are unions of linear pipelines of
-index scans over the graph's sorted indexes, so result order is
-deterministic for a given graph and pattern.
+negation as failure (NotExists), filters, grouped counting and a
+depth-bounded cycle probe.  A filter is a test: a comparison of two terms
+(Compare, each side a variable or a constant), or a kind, datatype,
+language or regex test of a variable, and Not negates a test.  A
+GroupCount's count feeds later filters and the results only; no triple
+pattern reads it.  Plans are unions of linear pipelines of index scans
+over the graph's sorted indexes, so result order is deterministic for a
+given graph and pattern.
 
 Planning gives every variable and constant of a pipeline a slot; a row is
 a list of graph ids indexed by slot, except that a GroupCount's `into`
@@ -87,9 +91,18 @@ class Var(Expr):
 
 @dataclass(frozen=True, slots=True)
 class Compare(Expr):
+    """Compares two terms, each a variable's value or a constant."""
+
     op: str
-    lhs: Expr
-    rhs: Expr
+    lhs: Var | Constant
+    rhs: Var | Constant
+
+
+@dataclass(frozen=True, slots=True)
+class Not(Expr):
+    """Negates a test; the negation of a type error is a type error."""
+
+    expr: Expr
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +148,6 @@ class IsIri(Expr):
 class IsLiteral(Expr):
     variable: Variable
 
-
-FALSE = Literal("false", XSD_BOOLEAN)
 
 # ---------------------------------------------------------------------------
 # Patterns
@@ -202,6 +213,8 @@ class CycleProbe(Pattern):
 def expr_vars(e: Expr) -> set[Variable]:
     if isinstance(e, Compare):
         return expr_vars(e.lhs) | expr_vars(e.rhs)
+    if isinstance(e, Not):
+        return expr_vars(e.expr)
     if isinstance(e, Var):
         return {e.variable}
     if isinstance(e, Constant):
@@ -243,14 +256,13 @@ _Slots = Mapping[Atom, int]
 class _Scan:
     """A triple pattern laid out over its pipeline's slots.  `key` reads
     the slot of each constant or bound variable, `_OPEN` elsewhere; the
-    (position, slot) pairs of `binds` are bound by the scan, those of
-    `counts` hold a count literal to look up, and the (position, position)
-    pairs of `same` are a repeated variable that must match itself."""
+    (position, slot) pairs of `binds` are bound by the scan, and the
+    (position, position) pairs of `same` are a repeated variable that must
+    match itself."""
 
     key: tuple[int, int, int]
     binds: tuple[tuple[int, int], ...]
     same: tuple[tuple[int, int], ...]
-    counts: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,8 +307,13 @@ class Plan:
     columns: tuple[Variable, ...] = ()
 
 
-def _validate_expr(e: Expr, problems: list[str]) -> None:
-    if isinstance(e, Regex):
+def _validate_test(e: Expr, problems: list[str]) -> None:
+    """Add the problems of a filter's test, or of a test inside Not."""
+    if isinstance(e, (Var, Constant)):
+        problems.append(f"filter on the bare term {e!r}: a filter takes a test")
+    elif isinstance(e, Not):
+        _validate_test(e.expr, problems)
+    elif isinstance(e, Regex):
         try:
             re.compile(e.pattern)
         except re.error as exc:
@@ -304,8 +321,9 @@ def _validate_expr(e: Expr, problems: list[str]) -> None:
     elif isinstance(e, Compare):
         if e.op not in _OPS:
             problems.append(f"unknown comparison operator {e.op!r}")
-        _validate_expr(e.lhs, problems)
-        _validate_expr(e.rhs, problems)
+        for side in (e.lhs, e.rhs):
+            if not isinstance(side, (Var, Constant)):
+                problems.append(f"comparison operand {side!r} is not a variable or constant")
 
 
 def _flatten(p: Pattern) -> list[Pattern]:
@@ -321,26 +339,29 @@ def _slot(slots: dict[Atom, int], atom: Atom) -> int:
     return slots.setdefault(atom, len(slots) + 1)
 
 
-def _lay_out(tp: TriplePattern, slots: dict[Atom, int], bound: dict[Variable, bool]) -> _Scan:
+def _lay_out(
+    tp: TriplePattern, slots: dict[Atom, int], bound: dict[Variable, bool], problems: list[str]
+) -> _Scan:
     """Lay out a triple pattern and add its variables to `bound`, which
-    maps each bound variable to whether its slot holds a count literal."""
+    maps each bound variable to whether its slot holds a count literal.
+    A count feeds filters and results only, so no triple pattern reads one."""
     key: list[int] = []
-    binds, same, counts = [], [], []
+    binds, same = [], []
     first: dict[Variable, int] = {}
     for pos, atom in enumerate((tp.subject, tp.predicate, tp.object)):
-        if not isinstance(atom, Variable) or bound.get(atom) is False:
+        if not isinstance(atom, Variable) or atom in bound:
+            if bound.get(atom):
+                problems.append(f"triple pattern reads the count ?{atom.name}")
             key.append(_slot(slots, atom))
             continue
         key.append(_OPEN)
-        if atom in bound:
-            counts.append((pos, slots[atom]))
-        elif atom in first:
+        if atom in first:
             same.append((pos, first[atom]))
         else:
             first[atom] = pos
             binds.append((pos, _slot(slots, atom)))
     bound.update(dict.fromkeys(first, False))
-    return _Scan(tuple(key), tuple(binds), tuple(same), tuple(counts))
+    return _Scan(tuple(key), tuple(binds), tuple(same))
 
 
 def _order_segment(
@@ -378,7 +399,7 @@ def _order_segment(
                     placed = item
                     break
                 if used <= bound.keys():
-                    _validate_expr(item.expr, problems)
+                    _validate_test(item.expr, problems)
                     steps.append(item)
                     placed = item
                     break
@@ -406,7 +427,7 @@ def _order_segment(
                 best, best_score = item, score
         if best is None:
             break
-        steps.append(_lay_out(best, slots, bound))
+        steps.append(_lay_out(best, slots, bound, problems))
         pending.remove(best)
     return tuple(steps)
 
@@ -440,8 +461,10 @@ def plan(p: Pattern) -> Plan:
     """Compile a pattern to a single-pipeline plan.
 
     Raises PlanError when a Filter, NotExists, or GroupCount references a
-    variable no triple pattern binds, or an expression is malformed.  Plans
-    depend on the pattern alone, never on graph statistics.
+    variable no triple pattern binds, when an expression is malformed (a
+    bare term as a test, a comparison of anything but terms, a bad regex or
+    operator), or when a triple pattern reads a count.  Plans depend on the
+    pattern alone, never on graph statistics.
     """
     problems: list[str] = []
     slots: dict[Atom, int] = {}
@@ -462,10 +485,6 @@ _OPS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 class _ExprTypeError(Exception):
     """Expression type error; the enclosing filter rejects the binding."""
-
-
-def _type_error(row: list) -> bool:
-    raise _ExprTypeError
 
 
 def _literal(t: Term) -> Literal:
@@ -645,7 +664,7 @@ class _Compiler:
     def scan(self, step: _Scan, nxt):
         # Scans that bind one slot or none and check nothing, the common
         # shapes, loop without a generator.
-        if step.same or step.counts or len(step.binds) > 1 or self.absent(step):
+        if step.same or len(step.binds) > 1 or self.absent(step):
             return _push(self.scan_rows(step), nxt)
         (s, p, o), match, tick = step.key, self.g.match_ids, self.tick
         if not step.binds:
@@ -675,16 +694,11 @@ class _Compiler:
         the step's slots bound."""
         if self.absent(step):
             return lambda row: ()
-        (s, p, o), binds, same, counts = step.key, step.binds, step.same, step.counts
-        match, term_id, tick = self.g.match_ids, self.g.term_id, self.tick
+        (s, p, o), binds, same = step.key, step.binds, step.same
+        match, tick = self.g.match_ids, self.tick
 
         def rows(row: list):
-            key = [row[s], row[p], row[o]]
-            for pos, slot in counts:
-                key[pos] = term_id(row[slot])
-                if key[pos] is None:
-                    return
-            for m in match(*key):
+            for m in match(row[s], row[p], row[o]):
                 tick()
                 if same and any(m[i] != m[j] for i, j in same):
                     continue
@@ -784,30 +798,28 @@ class _Compiler:
 
         return filter
 
-    def term(self, e: Var | Constant):
-        """`row -> Term` for a variable or constant."""
-        if isinstance(e, Constant):
-            t = e.term
-            return lambda row: t
-        s, term = self.slots[e.variable], self.g.term
+    def term(self, variable: Variable):
+        """`row -> Term` for a variable."""
+        s, term = self.slots[variable], self.g.term
         return lambda row: term(v) if (v := row[s]).__class__ is int else v
 
     def flag(self, e: Expr):
-        """`row -> bool` for an expression; a term counts as an xsd:boolean."""
-        if isinstance(e, (Var, Constant)):
-            get = self.term(e)
-            return lambda row: _boolean_value(_literal(get(row)))
+        """`row -> bool` for a test."""
         if isinstance(e, Compare):
-            return self.compare(e)
+            apply, a, b = _OPS[e.op], self.operand(e.lhs), self.operand(e.rhs)
+            return lambda row: _compare(apply, a(row), b(row))
+        if isinstance(e, Not):
+            f = self.flag(e.expr)
+            return lambda row: not f(row)
         if isinstance(e, SameLanguage):
-            left, right = self.term(Var(e.left)), self.term(Var(e.right))
+            left, right = self.term(e.left), self.term(e.right)
 
             def same_language(row: list) -> bool:
                 a, b = _literal(left(row)), _literal(right(row))
                 return a.language is not None and a.language == b.language
 
             return same_language
-        get = self.term(Var(e.variable))
+        get = self.term(e.variable)
         if isinstance(e, IsIri):
             return lambda row: isinstance(get(row), Iri)
         if isinstance(e, IsLiteral):
@@ -835,25 +847,6 @@ class _Compiler:
             return tag is not None and (rng == "*" or tag == rng or tag.startswith(rng + "-"))
 
         return lang_matches
-
-    def compare(self, e: Compare):
-        apply, lhs, rhs, terms = _OPS[e.op], e.lhs, e.rhs, (Var, Constant)
-        if isinstance(lhs, terms) and isinstance(rhs, terms):
-            a, b = self.operand(lhs), self.operand(rhs)
-            return lambda row: _compare(apply, a(row), b(row))
-        # A boolean expression compares under = and != only, and against a
-        # constant it is itself or its negation.
-        if apply is not eq and apply is not ne:
-            return _type_error
-        for side, other in ((lhs, rhs), (rhs, lhs)):
-            if isinstance(other, Constant):
-                value = boolean_value(other.term) if isinstance(other.term, Literal) else None
-                if value is None:
-                    return _type_error
-                f = self.flag(side)
-                return f if value == (apply is eq) else (lambda row: not f(row))
-        a, b = self.flag(lhs), self.flag(rhs)
-        return lambda row: apply(a(row), b(row))
 
     def operand(self, e: Var | Constant):
         """`row -> entry` of the literal memo, for a side of a comparison."""

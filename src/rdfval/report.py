@@ -10,10 +10,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .catalog import CLASSIFICATION_KEYS, Catalog, classify, round_percentage
+from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, round_percentage, tally
 from .checker import (
     CheckOutcome,
     ENGINE_FAILURE,
@@ -157,26 +156,13 @@ def render_matrix(catalog: Catalog, columns, fmt: str = "md") -> str:
 _COUNTED = (VIOLATED, TRUNCATED, SOURCE_INCOMPLETE)
 
 
-def _violation_fractions(catalog: Catalog, columns) -> tuple[int, dict[str, Fraction]]:
-    counts = {key: 0 for key in CLASSIFICATION_KEYS}
-    total = 0
+def _violations(catalog: Catalog, columns):
+    """Each counted outcome's constraint, weighted by its count."""
     for col in columns:
         for o in col.outcomes:
-            if o.status not in _COUNTED or not o.count:
-                continue
             c = catalog.get(o.constraint_id)
-            if c is None:
-                continue
-            total += o.count
-            for key in CLASSIFICATION_KEYS[:3]:
-                if key in c.expressivity:
-                    counts[key] += o.count
-            counts[c.severity.json_name] += o.count
-    fractions = {
-        key: Fraction(counts[key], total) if total else Fraction(0)
-        for key in CLASSIFICATION_KEYS
-    }
-    return total, fractions
+            if o.status in _COUNTED and c is not None:
+                yield c, o.count
 
 
 def render_aggregate(groups, fmt: str = "md") -> str:
@@ -185,43 +171,25 @@ def render_aggregate(groups, fmt: str = "md") -> str:
 
     ``groups`` is an iterable of (label, catalog, columns).
     """
-    groups = list(groups)
     thousands = fmt == "md"
     header = ["measure"]
-    c_fracs: list[dict[str, Fraction]] = []
-    cv_fracs: list[dict[str, Fraction]] = []
-    c_abs: list[int] = []
-    cv_abs: list[int] = []
+    cs, cvs = [], []
     for label, catalog, columns in groups:
         header += [f"{label} C", f"{label} CV"]
-        summary = classify(catalog)
         vocab = catalog.vocabularies()[0]
-        breakdown = summary.per_vocabulary[vocab]
-        c_abs.append(breakdown.total)
-        c_fracs.append({key: breakdown.fraction(key) for key in CLASSIFICATION_KEYS})
-        total, fractions = _violation_fractions(catalog, columns)
-        cv_abs.append(total)
-        cv_fracs.append(fractions)
+        cs.append(classify(catalog).per_vocabulary[vocab])
+        cvs.append(tally(vocab, _violations(catalog, columns)))
     header += ["Total C", "Total CV"]
-
-    def mean(fracs: list[dict[str, Fraction]], key: str) -> Fraction:
-        if not fracs:
-            return Fraction(0)
-        return sum((f[key] for f in fracs), Fraction(0)) / len(fracs)
-
-    rows = [["total"]]
-    for ca, cva in zip(c_abs, cv_abs):
-        rows[0] += [_number(ca, thousands), _number(cva, thousands)]
-    rows[0] += [_number(sum(c_abs), thousands), _number(sum(cv_abs), thousands)]
+    breakdowns = [b for pair in zip(cs, cvs) for b in pair]
+    rows = [
+        ["total", *(_number(b.total, thousands) for b in breakdowns)]
+        + [_number(sum(b.total for b in side), thousands) for side in (cs, cvs)]
+    ]
     for key in CLASSIFICATION_KEYS:
-        row = [f"{key} %"]
-        for cf, cvf in zip(c_fracs, cv_fracs):
-            row += [round_percentage(cf[key]), round_percentage(cvf[key])]
-        row += [
-            round_percentage(mean(c_fracs, key)),
-            round_percentage(mean(cv_fracs, key)),
-        ]
-        rows.append(row)
+        rows.append(
+            [f"{key} %", *(b.percentage(key) for b in breakdowns)]
+            + [round_percentage(mean(b.fraction(key) for b in side)) for side in (cs, cvs)]
+        )
     return _table(header, rows, fmt)
 
 

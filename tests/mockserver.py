@@ -47,6 +47,7 @@ class MockEndpoint:
         )
         self.fail_offsets: set[int] = set()
         self.malformed_offsets: set[int] = set()
+        self.malformed_body = b"{ not json"
         self.requests: list[tuple[str, int, int]] = []
         endpoint = self
 
@@ -72,7 +73,7 @@ class MockEndpoint:
                     self._send(500, b"boom", "text/plain")
                     return
                 if offset in endpoint.malformed_offsets:
-                    self._send(200, b"{ not json", "application/sparql-results+json")
+                    self._send(200, endpoint.malformed_body, "application/sparql-results+json")
                     return
                 page = endpoint.rows[offset : offset + limit]
                 doc = {

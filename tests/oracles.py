@@ -25,6 +25,7 @@ from rdfval.query import (
     IsLiteral,
     IsValidForDatatype,
     LangMatches,
+    Not,
     NotExists,
     Pattern,
     Regex,
@@ -184,16 +185,9 @@ def eval_expr(e, row):
             raise Reject
         return t
     if isinstance(e, Compare):
-        a, b = eval_expr(e.lhs, row), eval_expr(e.rhs, row)
-        if isinstance(a, bool) or isinstance(b, bool):
-            if isinstance(a, Literal):
-                a = _boolean(a)
-            if isinstance(b, Literal):
-                b = _boolean(b)
-            if not (isinstance(a, bool) and isinstance(b, bool)) or e.op not in ("=", "!="):
-                raise Reject
-            return _cmp(e.op, a, b)
-        return compare_terms(e.op, a, b)
+        return compare_terms(e.op, eval_expr(e.lhs, row), eval_expr(e.rhs, row))
+    if isinstance(e, Not):
+        return not eval_expr(e.expr, row)
     if isinstance(e, Regex):
         t = eval_expr(Var(e.variable), row)
         if isinstance(t, Literal):
@@ -229,17 +223,9 @@ def eval_expr(e, row):
 
 def accepts(expr, row) -> bool:
     try:
-        value = eval_expr(expr, row)
+        return eval_expr(expr, row)
     except Reject:
         return False
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Literal):
-        try:
-            return _boolean(value)
-        except Reject:
-            return False
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1028,7 @@ def random_filter_expr(rng, bound_vars, objects):
         return IsValidForDatatype(v, dt)
     if form < 0.9:
         inner = rng.choice((IsLiteral(v), LangMatches(v, "*"), SameLanguage(v, w)))
-        return Compare("=", inner, Constant(Literal("false", XSD_BOOLEAN)))
+        return Not(inner)
     return Compare(rng.choice(ops), Var(v), Constant(_int_lit(rng.randint(-2, 5))))
 
 

@@ -93,8 +93,18 @@ def test_engine_failures_never_fail_the_run(tmp_path):
     assert "1 failed" in lines[1]
 
 
-@pytest.mark.parametrize("command", ["validate", "campaign"])
-@pytest.mark.parametrize("option, value", [("--limit", "-1"), ("--budget", "-1"), ("--budget", "nan")])
+@pytest.mark.parametrize(
+    "option, value, command",
+    [
+        *(
+            (option, value, command)
+            for option, value in (("--limit", "-1"), ("--budget", "-1"), ("--budget", "nan"))
+            for command in ("validate", "campaign")
+        ),
+        ("--timeout", "nan", "campaign"),
+        ("--timeout", "inf", "campaign"),
+    ],
+)
 def test_negative_limit_or_budget_is_a_usage_error(tmp_path, command, option, value):
     if command == "validate":
         cat = write_catalog(tmp_path / "cat.json", entry("V-1"))

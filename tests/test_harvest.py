@@ -1,6 +1,7 @@
 """Endpoint harvesting: paging, retries, failure taxonomy, campaigns."""
 import gzip
 import json
+import math
 import types
 
 import pytest
@@ -87,6 +88,8 @@ def test_load_sources_reports_every_problem():
             {"abbreviation": "y", "endpoint-url": "http://h/", "page-size": 0},
             {"abbreviation": "y", "endpoint-url": "http://h/"},
             {"abbreviation": "z", "endpoint-url": "http://h/", "extra": 1},
+            {"abbreviation": "n", "endpoint-url": "http://h/", "timeout": math.nan},
+            {"abbreviation": "i", "endpoint-url": "http://h/", "timeout": math.inf},
         ]
     )
     with pytest.raises(ValueError) as err:
@@ -97,6 +100,8 @@ def test_load_sources_reports_every_problem():
     assert "page-size" in text
     assert "duplicate abbreviation" in text
     assert "'extra'" in text
+    assert "source 'n': timeout must be a finite positive number" in text
+    assert "source 'i': timeout must be a finite positive number" in text
 
 
 def test_load_sources_requires_a_json_array():
@@ -184,6 +189,22 @@ def test_malformed_payload_is_reported():
         result = harvest(source(ep.url), sleep=no_sleep)
     assert result.status == UNAVAILABLE
     assert result.reason.startswith("malformed result set:")
+
+
+def test_deeply_nested_later_page_is_malformed_and_retried():
+    # json.loads raises RecursionError, not a ValueError, on such a page.
+    g = sample_graph()
+    sleeps = []
+    with mockserver.MockEndpoint(g) as ep:
+        ep.malformed_offsets.add(7)
+        ep.malformed_body = b"[" * 200_000
+        result = harvest(source(ep.url, page_size=7, max_retries=1), sleep=sleeps.append)
+        offsets = [offset for _, _, offset in ep.requests]
+    assert result.status == PARTIAL
+    assert result.reason.startswith("malformed result set:")
+    assert result.pages_fetched == 1
+    assert len(result.graph) == 7
+    assert offsets == [0, 7, 7] and sleeps == [1.0]
 
 
 def test_literal_subjects_are_rejected_as_malformed():

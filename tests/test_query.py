@@ -11,13 +11,13 @@ from rdfval.query import (
     BudgetExceeded,
     Compare,
     Constant,
-    FALSE,
     Filter,
     GroupCount,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
     LangMatches,
+    Not,
     NotExists,
     Plan,
     PlanError,
@@ -166,17 +166,19 @@ def test_filter_string_comparison_is_bytewise():
     assert [r[A] for r in rows(g, p)] == [Literal("Zoo")]
 
 
-def test_filter_boolean_negation_idiom():
+def test_filter_not_negates_a_test_and_keeps_its_type_errors():
     g = graph(
         (iri("s"), iri("p"), Literal("x", language="en")),
         (iri("s"), iri("p"), Literal("y")),
+        (iri("s"), iri("p"), iri("o")),
     )
     p = And(
         [
             TriplePattern(iri("s"), iri("p"), A),
-            Filter(Compare("=", LangMatches(A, "*"), Constant(FALSE))),
+            Filter(Not(LangMatches(A, "*"))),
         ]
     )
+    # LangMatches over an IRI is a type error, and so is its negation.
     assert [r[A] for r in rows(g, p)] == [Literal("y")]
 
 
@@ -226,7 +228,7 @@ def test_filter_validity_probe():
     p = And(
         [
             TriplePattern(iri("s"), iri("p"), A),
-            Filter(Compare("=", IsValidForDatatype(A), Constant(FALSE))),
+            Filter(Not(IsValidForDatatype(A))),
         ]
     )
     assert [r[A] for r in rows(g, p)] == [Literal("five", XSD_INTEGER)]
@@ -269,18 +271,14 @@ def test_group_count_then_filter():
     assert [r[A] for r in rows(SMALL, p)] == [iri("s1")]
 
 
-def test_group_count_joins_back_into_a_triple_pattern():
-    two, one, d = iri("two"), iri("one"), Variable("d")
-    g = graph(
-        (iri("s1"), iri("p"), iri("o1")),
-        (iri("s1"), iri("p"), iri("o2")),
-        (iri("s2"), iri("p"), iri("o1")),
-        (two, iri("q"), Literal("2", XSD_INTEGER)),
-        (one, iri("q"), Literal("1", XSD_INTEGER)),
-    )
+def test_plan_rejects_a_triple_pattern_that_reads_a_group_count():
+    d = Variable("d")
     p = And([TriplePattern(A, iri("p"), B), GroupCount((A,), C), TriplePattern(d, iri("q"), C)])
-    got = sorted((r[A].text, r[d].text, r[C].lexical) for r in rows(g, p))
-    assert got == [(EX + "s1", EX + "two", "2"), (EX + "s2", EX + "one", "1")]
+    with pytest.raises(PlanError, match=r"triple pattern reads the count \?c"):
+        plan(p)
+    inner = And([TriplePattern(A, iri("p"), B), GroupCount((A,), C), NotExists(TriplePattern(A, iri("q"), C))])
+    with pytest.raises(PlanError, match=r"triple pattern reads the count \?c"):
+        plan(inner)
 
 
 def test_group_count_of_nothing_is_no_rows():
@@ -329,6 +327,21 @@ def test_plan_rejects_bad_regex_and_operator():
         plan(And([tp, Filter(Regex(B, "[unclosed"))]))
     with pytest.raises(PlanError):
         plan(And([tp, Filter(Compare("==", Var(B), Constant(Literal("x"))))]))
+
+
+@pytest.mark.parametrize(
+    "expr, problem",
+    [
+        (Compare("=", IsLiteral(B), Constant(Literal("false", XSD_BOOLEAN))), "comparison operand"),
+        (Compare("!=", Var(A), Not(IsIri(B))), "comparison operand"),
+        (Var(A), "bare term"),
+        (Constant(Literal("true", XSD_BOOLEAN)), "bare term"),
+        (Not(Var(B)), "bare term"),
+    ],
+)
+def test_plan_rejects_a_filter_that_is_not_a_test(expr, problem):
+    with pytest.raises(PlanError, match=problem):
+        plan(And([TriplePattern(A, iri("p"), B), Filter(expr)]))
 
 
 def test_plan_error_aggregates_every_problem():
