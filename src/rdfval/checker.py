@@ -21,9 +21,9 @@ from .query import (
     BudgetExceeded,
     Compare,
     Constant,
+    Count,
     CycleProbe,
     Filter,
-    GroupCount,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
@@ -153,21 +153,20 @@ def _cardinality(params, mode: str, qualified: bool) -> Plan:
     value_tps = [TP(_X, p, _V)]
     if qualified:
         value_tps.append(TP(_V, RDF_TYPE, params["value-class"]))
-    counted = And([TP(_X, RDF_TYPE, c), *value_tps, GroupCount([_X], _N)])
-    zero_case = And([TP(_X, RDF_TYPE, c), NotExists(And(value_tps))])
-
-    patterns: list[Pattern] = []
-    if mode == "max":
-        patterns.append(And([counted, Filter(Compare(">", Var(_N), _int_lit(bound)))]))
-    elif mode == "min":
-        if bound == 0:
-            return _union([], _X, p)
-        patterns.append(And([counted, Filter(Compare("<", Var(_N), _int_lit(bound)))]))
-        patterns.append(zero_case)
-    else:
-        patterns.append(And([counted, Filter(Compare("!=", Var(_N), _int_lit(bound)))]))
-        if bound > 0:
-            patterns.append(zero_case)
+    values = And(value_tps)
+    if mode == "min" and bound == 0:
+        return _union([], _X, p)
+    # Below a positive min or exact bound, foci with no value are reported
+    # by the zero case, after the counted ones.
+    zero_case = mode != "max" and bound > 0
+    counted: list[Pattern] = [TP(_X, RDF_TYPE, c), Count(values, _N)]
+    if zero_case:
+        counted.append(Filter(Compare(">", Var(_N), _int_lit(0))))
+    op = {"max": ">", "min": "<", "exact": "!="}[mode]
+    counted.append(Filter(Compare(op, Var(_N), _int_lit(bound))))
+    patterns: list[Pattern] = [And(counted)]
+    if zero_case:
+        patterns.append(And([TP(_X, RDF_TYPE, c), NotExists(values)]))
     return _union(patterns, _X, p, _N)
 
 

@@ -30,7 +30,7 @@ from .checker import (
 from .graph import Graph, GraphBuilder
 from .ntriples import parse_ntriples, serialize_ntriples
 from .packs import PROFILE_CLASSES, load_pack
-from .report import SourceOutcomes, outcomes_document, parse_outcomes_document
+from .report import SourceOutcomes, outcomes_document
 from .terms import BlankNode, Iri, Literal, RDF_TYPE, Term
 
 RESULTS_MEDIA_TYPE = "application/sparql-results+json"
@@ -393,8 +393,8 @@ def run_campaign(
     checking) ``outcomes.json``, each replaced atomically and in that
     order; ``profile.json`` commits the data, and a fetch first removes the
     old profile and outcomes.  A source committed as complete is not
-    fetched again: its outcomes are read back, or computed from the stored
-    data when they are unreadable, and unreadable data is fetched again.
+    fetched again: its stored data is checked with this run's catalog,
+    limit and budget, and unreadable data is fetched again.
     Partial harvests keep their outcomes but flag every result as
     source-incomplete.  A source whose run raises is reported unavailable,
     with the exception as its reason, and the others go on.
@@ -433,7 +433,7 @@ def run_campaign(
 
     def resume(source: Source) -> SourceRun | None:
         """The run a committed complete harvest still answers, from its
-        stored outcomes or its stored data; None when it must be fetched."""
+        stored data; None when it must be fetched."""
         sdir = out / source.abbreviation
         prof = _read_json(sdir / "profile.json") if (sdir / "data.nt.gz").exists() else None
         if not (
@@ -447,14 +447,11 @@ def run_campaign(
         message = "already complete, skipped"
         if do_check:
             try:
-                outcomes = parse_outcomes_document(_read_json(sdir / "outcomes.json")).outcomes
-            except ValueError:
-                try:
-                    stored = read_data(sdir / "data.nt.gz")
-                except (OSError, EOFError, zlib.error, ValueError):
-                    return None  # torn or damaged
-                outcomes = store(source, COMPLETE, stored)
-                message = "checked stored data"
+                stored = read_data(sdir / "data.nt.gz")
+            except (OSError, EOFError, zlib.error, ValueError):
+                return None  # torn or damaged
+            outcomes = store(source, COMPLETE, stored)
+            message = "checked stored data"
         say(f"{source.abbreviation}: {message}")
         return SourceRun(
             source, COMPLETE, prof["pages-fetched"], prof["triples"], None, outcomes,

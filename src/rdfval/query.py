@@ -1,31 +1,36 @@
 """Conjunctive pattern evaluation over frozen graphs.
 
 The pattern language is deliberately small: triple patterns joined by And,
-negation as failure (NotExists), filters, grouped counting and a
-depth-bounded cycle probe.  A filter is a test: a comparison of two terms
-(Compare, each side a variable or a constant), or a kind, datatype,
-language or regex test of a variable, and Not negates a test.  A
-GroupCount's count feeds later filters and the results only; no triple
-pattern reads it.  Plans are unions of linear pipelines of index scans
-over the graph's sorted indexes, so result order is deterministic for a
-given graph and pattern.
+filters, a depth-bounded cycle probe, and two correlated sub-patterns,
+evaluated once per incoming row with that row's bindings: NotExists keeps
+the row when its pattern has no solution (negation as failure), and Count
+binds a variable to the number of solutions (a correlated count, after
+Kim, "On Optimizing an SQL-like Nested Query", ACM TODS 7(3), 1982).  A
+sub-pattern's variables that the enclosing pattern does not bind stay
+inside it.  A filter is a test: a comparison of two terms (Compare, each
+side a variable or a constant), or a kind, datatype, language or regex
+test of a variable, and Not negates a test.  A count feeds filters and
+the results only; no triple pattern reads it.  Plans are unions of flat
+pipelines of index scans over the graph's sorted indexes, so result
+order is deterministic for a given graph and pattern.
 
 Planning gives every variable and constant of a pipeline a slot; a row is
-a list of graph ids indexed by slot, except that a GroupCount's `into`
-slot holds its count literal.  Each triple pattern is laid out once.
-run_plan yields each result as a tuple of those raw values for the plan's
-columns; only evaluate turns them into Terms.
+a list of graph ids indexed by slot, except that a Count's `into` slot
+holds its count literal.  Each triple pattern is laid out once.  run_plan
+yields each result as a tuple of those raw values for the plan's columns;
+only evaluate turns them into Terms.
 
 run_plan compiles each pipeline, once per call and against the graph,
 into nested closures `row -> stop`, after Neumann, "Efficiently Compiling
 Efficient Query Plans for Modern Hardware" (VLDB 2011).  A scan calls the
 next step's closure once per match, a filter's expression tree is
 compiled to closures, and a true result stops every enclosing loop, which
-is how a NotExists body ends at its first match.  A scan that needs a
-constant the graph lacks compiles to no rows.  Only the outermost loop of
-a pipeline is a generator, so results stream: a caller that stops early
-leaves the rest of that loop unrun.  Comparisons read a literal memo that
-lives for one run_plan call, so each literal is parsed once per run.
+is how a NotExists body ends at its first match; a Count body runs to its
+end.  A scan that needs a constant the graph lacks compiles to no rows.
+Only the outermost loop of a pipeline is a generator, so results stream:
+a caller that stops early leaves the rest of that loop unrun.
+Comparisons read a literal memo that lives for one run_plan call, so
+each literal is parsed once per run.
 
 Comparison semantics (documented here because filters depend on them):
 numeric literals compare by value with integer → decimal → double
@@ -174,7 +179,18 @@ class And(Pattern):
 
 @dataclass(frozen=True, slots=True)
 class NotExists(Pattern):
+    """Keeps a row exactly when `pattern` has no solution under it."""
+
     pattern: Pattern
+
+
+@dataclass(frozen=True, slots=True)
+class Count(Pattern):
+    """Binds `into`, for each row, to the number of solutions of `pattern`
+    under that row, as an xsd:integer literal, 0 included."""
+
+    pattern: Pattern
+    into: Variable
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,23 +199,11 @@ class Filter(Pattern):
 
 
 @dataclass(frozen=True, slots=True)
-class GroupCount(Pattern):
-    """Group the incoming bindings by `group_vars` and bind the per-group
-    row count to `into`."""
-
-    group_vars: tuple[Variable, ...]
-    into: Variable
-
-    def __init__(self, group_vars, into):
-        object.__setattr__(self, "group_vars", tuple(group_vars))
-        object.__setattr__(self, "into", into)
-
-
-@dataclass(frozen=True, slots=True)
 class CycleProbe(Pattern):
     """Binds `variable` to each subject of `property` that can reach itself
     via `property` within `max_depth` hops.  It runs before the triple
-    patterns of its segment, and its variable must not be bound before it."""
+    patterns beside it, in its pipeline or in the NotExists or Count pattern
+    that holds it, and its variable must not be bound before it."""
 
     variable: Variable
     property: Iri
@@ -238,7 +242,7 @@ def _pattern_uses(p: Pattern) -> set[Variable]:
         return expr_vars(p.expr)
     if isinstance(p, CycleProbe):
         return {p.variable}
-    return set(p.group_vars)
+    return _pattern_uses(p.pattern) | {p.into}
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +270,24 @@ class _Scan:
 
 
 @dataclass(frozen=True, slots=True)
-class _AntiJoin:
-    stages: tuple["Stage", ...]
+class _Nested:
+    """The steps of a NotExists pattern, or of a Count pattern whose count
+    goes to the slot `into`."""
+
+    steps: tuple["Step", ...]
+    into: int | None = None
 
 
-Step = Union[_Scan, Filter, _AntiJoin, CycleProbe]
-
-
-@dataclass(frozen=True, slots=True)
-class Stage:
-    steps: tuple[Step, ...]
-    group: GroupCount | None = None
+Step = Union[_Scan, Filter, _Nested, CycleProbe]
 
 
 @dataclass(frozen=True, slots=True)
 class Pipeline:
-    """Stages over one row layout.  `slots` numbers every variable and
-    constant of the pipeline, NotExists parts included, from 1; `out`
+    """Steps over one row layout.  `slots` numbers every variable and
+    constant of the pipeline, nested patterns included, from 1; `out`
     pairs each variable in scope at the end with its slot."""
 
-    stages: tuple[Stage, ...]
+    steps: tuple[Step, ...]
     slots: _Slots
     out: tuple[tuple[Variable, int], ...]
 
@@ -367,15 +369,16 @@ def _lay_out(
 def _order_segment(
     items: list[Pattern], slots: dict[Atom, int], bound: dict[Variable, bool], problems: list[str]
 ) -> tuple[Step, ...]:
-    """Greedy step ordering for one pipeline segment; `bound` gains the
-    variables the segment binds, in binding order.
+    """Greedy step ordering for a pipeline or a nested pattern; `bound`
+    gains the variables the items bind, in binding order.
 
     Triple patterns are picked most-bound-first; cycle probes, filters and
-    anti-joins are placed at the earliest point where every variable they
-    share with the segment is bound.
+    nested patterns are placed at the earliest point where every variable
+    they share with the items' scope is bound.
     """
     binders = [item for item in items if isinstance(item, (TriplePattern, CycleProbe))]
-    in_scope = bound.keys() | _pattern_uses(And(binders))
+    counts = {item.into for item in items if isinstance(item, Count)}
+    in_scope = bound.keys() | _pattern_uses(And(binders)) | counts
 
     steps: list[Step] = []
     pending = list(items)
@@ -403,11 +406,17 @@ def _order_segment(
                     steps.append(item)
                     placed = item
                     break
-            elif isinstance(item, NotExists):
+            elif isinstance(item, (NotExists, Count)):
                 shared = _pattern_uses(item.pattern) & in_scope
                 if shared <= bound.keys():
-                    inner, _ = _plan_stages(item.pattern, slots, dict(bound), problems)
-                    steps.append(_AntiJoin(inner))
+                    inner = _order_segment(_flatten(item.pattern), slots, dict(bound), problems)
+                    into = None
+                    if isinstance(item, Count):
+                        if item.into in bound:
+                            problems.append(f"count variable ?{item.into.name} is already bound")
+                        into = _slot(slots, item.into)
+                        bound[item.into] = True
+                    steps.append(_Nested(inner, into))
                     placed = item
                     break
         if placed is not None:
@@ -429,50 +438,29 @@ def _order_segment(
             break
         steps.append(_lay_out(best, slots, bound, problems))
         pending.remove(best)
+    # Only counts whose patterns read their own counts are left waiting.
+    problems.extend(f"count ?{v.name} waits on itself" for v in counts - bound.keys())
     return tuple(steps)
-
-
-def _plan_stages(
-    p: Pattern, slots: dict[Atom, int], bound: dict[Variable, bool], problems: list[str]
-) -> tuple[tuple[Stage, ...], dict[Variable, bool]]:
-    """The stages of a pattern planned after `bound`, and what is bound
-    after them."""
-    stages: list[Stage] = []
-    segment: list[Pattern] = []
-    for item in _flatten(p):
-        if isinstance(item, GroupCount):
-            stages.append(Stage(_order_segment(segment, slots, bound, problems), group=item))
-            for v in item.group_vars:
-                if v not in bound:
-                    problems.append(f"group variable ?{v.name} is never bound")
-            _slot(slots, item.into)
-            bound = {v: bound.get(v, False) for v in item.group_vars}
-            bound[item.into] = True
-            segment = []
-        else:
-            segment.append(item)
-    ordered = _order_segment(segment, slots, bound, problems)
-    if ordered or not stages:
-        stages.append(Stage(ordered))
-    return tuple(stages), bound
 
 
 def plan(p: Pattern) -> Plan:
     """Compile a pattern to a single-pipeline plan.
 
-    Raises PlanError when a Filter, NotExists, or GroupCount references a
-    variable no triple pattern binds, when an expression is malformed (a
-    bare term as a test, a comparison of anything but terms, a bad regex or
-    operator), or when a triple pattern reads a count.  Plans depend on the
+    Raises PlanError when a Filter references a variable nothing in its
+    scope binds, when an expression is malformed (a bare term as a test, a
+    comparison of anything but terms, a bad regex or operator), when a
+    triple pattern reads a count, or when a count or cycle-probe variable
+    is bound twice or a count's pattern reads it.  Plans depend on the
     pattern alone, never on graph statistics.
     """
     problems: list[str] = []
     slots: dict[Atom, int] = {}
-    stages, bound = _plan_stages(p, slots, {}, problems)
+    bound: dict[Variable, bool] = {}
+    steps = _order_segment(_flatten(p), slots, bound, problems)
     if problems:
         raise PlanError("; ".join(problems))
     out = tuple((v, slots[v]) for v in bound)
-    return Plan(pipelines=(Pipeline(stages, slots, out),), columns=tuple(bound))
+    return Plan(pipelines=(Pipeline(steps, slots, out),), columns=tuple(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +514,9 @@ def _push(rows, nxt):
 
 def _ticker(deadline: float | None):
     """Called once per loop iteration over index matches or cycle steps;
-    every 1024th call checks the deadline.  Filters, NOT EXISTS probes and
-    group counts run inside such an iteration, once per group, or once for
-    a pipeline with no loop, so they need no tick of their own."""
+    every 1024th call checks the deadline.  Filters and nested patterns run
+    inside such an iteration, or once for a pipeline with no loop, so they
+    need no tick of their own."""
     if deadline is None:
         return lambda: None
     count = 0
@@ -596,13 +584,11 @@ class _Compiler:
     def __init__(self, g: Graph, slots: _Slots, row: list, tick, entry):
         self.g, self.slots, self.row, self.tick, self.entry = g, slots, row, tick, entry
 
-    def outer(self, stages: tuple[Stage, ...], columns: list[int]):
-        """A generator function over the outermost loop of `stages`: the
-        first scan or cycle probe, or the groups of a grouping first stage.
-        After each turn with results it yields the list of their tuples of
-        the values at the slots `columns`, and empties it when resumed."""
-        first = stages[0]
-        steps = first.steps
+    def outer(self, steps: tuple[Step, ...], columns: list[int]):
+        """A generator function over the outermost loop of `steps`, its
+        first scan or cycle probe.  After each turn with results it yields
+        the list of their tuples of the values at the slots `columns`, and
+        empties it when resumed."""
         loops = [i for i, step in enumerate(steps) if isinstance(step, (_Scan, CycleProbe))]
         if loops and self.absent(steps[loops[0]]):
             # The outermost loop matches nothing, so nothing else is compiled.
@@ -614,17 +600,15 @@ class _Compiler:
             append(get(row))
             return False
 
-        nxt, guard = self.stages(stages[1:], emit), _stop
-        if first.group is not None:
-            rows = self.groups(first)
-        elif not loops:
-            rows, nxt = (lambda row: (row,)), self.steps(steps, nxt)
+        if not loops:
+            rows, guard, nxt = (lambda row: (row,)), _stop, self.steps(steps, emit)
         else:
             i = loops[0]
             rows = self.scan_rows(steps[i]) if isinstance(steps[i], _Scan) else self.cycle_rows(steps[i])
-            # The steps before the loop bind nothing: a row passes them if it
+            # The steps before the loop bind nothing later steps read but a
+            # count, which stays set in the row: a row passes them if it
             # reaches the end of their chain.
-            guard, nxt = self.steps(steps[:i], _stop), self.steps(steps[i + 1 :], nxt)
+            guard, nxt = self.steps(steps[:i], _stop), self.steps(steps[i + 1 :], emit)
 
         def drive(row: list):
             if guard(row):
@@ -636,22 +620,14 @@ class _Compiler:
 
         return drive
 
-    def stages(self, stages: tuple[Stage, ...], nxt):
-        for stage in reversed(stages):
-            if stage.group is None:
-                nxt = self.steps(stage.steps, nxt)
-            else:
-                nxt = _push(self.groups(stage), nxt)
-        return nxt
-
     def steps(self, steps: tuple[Step, ...], nxt):
         for step in reversed(steps):
             if isinstance(step, _Scan):
                 nxt = self.scan(step, nxt)
             elif isinstance(step, Filter):
                 nxt = self.filter(step.expr, nxt)
-            elif isinstance(step, _AntiJoin):
-                nxt = self.anti_join(step, nxt)
+            elif isinstance(step, _Nested):
+                nxt = self.nested(step, nxt)
             else:
                 nxt = _push(self.cycle_rows(step), nxt)
         return nxt
@@ -748,42 +724,40 @@ class _Compiler:
 
         return rows
 
-    def groups(self, stage: Stage):
-        """A generator function that counts the rows the stage's steps push
-        from a row by group key, then yields one fresh row per group, copied
-        from that row, with the count in `into`."""
-        keys = [self.slots[v] for v in stage.group.group_vars]
-        into = self.slots[stage.group.into]
-        key_of = _getter(keys)
-        counts: dict = {}
+    def nested(self, step: _Nested, nxt):
+        """The chain of a nested pattern's steps, run on each row: a
+        NotExists stops it at the first match and passes the row on when
+        there is none; a Count runs it to the end, tallying the matches, and
+        passes the row on with the tally in `into`."""
+        into = step.into
+        if into is None:
+            inner = self.steps(step.steps, _stop)
 
-        def count(row: list) -> bool:
-            key = key_of(row)
-            counts[key] = counts.get(key, 0) + 1
+            def anti_join(row: list) -> bool:
+                return False if inner(row) else nxt(row)
+
+            return anti_join
+        n = 0
+
+        def tally(row: list) -> bool:
+            nonlocal n
+            n += 1
             return False
 
-        run = self.steps(stage.steps, count)
+        inner = self.steps(step.steps, tally)
+        literals: dict[int, Literal] = {}
 
-        def rows(row: list):
-            nonlocal counts
-            counts = mine = {}
-            run(row)
-            for key, n in mine.items():
-                out = row.copy()
-                for s, value in zip(keys, key):
-                    out[s] = value
-                out[into] = Literal(str(n), XSD_INTEGER)
-                yield out
+        def count(row: list) -> bool:
+            nonlocal n
+            n = 0
+            inner(row)
+            literal = literals.get(n)
+            if literal is None:
+                literal = literals[n] = Literal(str(n), XSD_INTEGER)
+            row[into] = literal
+            return nxt(row)
 
-        return rows
-
-    def anti_join(self, step: _AntiJoin, nxt):
-        inner = self.stages(step.stages, _stop)
-
-        def anti_join(row: list) -> bool:
-            return False if inner(row) else nxt(row)
-
-        return anti_join
+        return count
 
     def filter(self, e: Expr, nxt):
         test = self.flag(e)
@@ -860,8 +834,8 @@ class _Compiler:
 
 def run_plan(g: Graph, p: Plan, *, deadline: float | None = None) -> Iterator[tuple]:
     """Execute a plan, yielding one tuple per result row: the value of each
-    of `p.columns`, which is a graph id, a GroupCount's count literal, or
-    None where the row's pipeline does not bind that column.
+    of `p.columns`, which is a graph id, a Count's literal, or None where
+    the row's pipeline does not bind that column.
 
     Each pipeline is compiled when the iteration reaches it; the rows of
     one turn of its outermost loop are built before the first is yielded.
@@ -879,7 +853,7 @@ def run_plan(g: Graph, p: Plan, *, deadline: float | None = None) -> Iterator[tu
         bound = dict(pipeline.out)
         columns = [bound.get(v, _OPEN) for v in p.columns]
         compiler = _Compiler(g, pipeline.slots, row, tick, entry)
-        for found in compiler.outer(pipeline.stages, columns)(row):
+        for found in compiler.outer(pipeline.steps, columns)(row):
             yield from found
 
 
@@ -890,8 +864,8 @@ def evaluate(
 
     Bindings come out as plain dicts, one per solution, total over the
     pattern's in-scope variables; NotExists keeps a binding exactly when
-    its inner pattern has no solution under that binding; GroupCount emits
-    one binding per group with the count bound to its `into` variable.
+    its pattern has no solution under that binding, and Count binds its
+    `into` variable to the number of those solutions.
     """
     planned = plan(p)
     columns, term = planned.columns, g.term

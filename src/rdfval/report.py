@@ -55,23 +55,47 @@ def outcomes_document(column: SourceOutcomes) -> dict:
     }
 
 
+_OPTIONAL_INT = (int, type(None))
+_OPTIONAL_STR = (str, type(None))
+
+
+def _field(obj, key: str, types: tuple, *default):
+    """``obj[key]`` of a JSON object when its type is one of ``types`` (a
+    boolean is no int), or the default when the key is absent and one is
+    given; a ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, found {obj!r}")
+    if key not in obj:
+        if default:
+            return default[0]
+        raise ValueError(f"field {key!r} is missing")
+    if type(obj[key]) not in types:
+        raise ValueError(f"field {key!r} is {obj[key]!r}")
+    return obj[key]
+
+
 def parse_outcomes_document(doc) -> SourceOutcomes:
+    """The column an outcomes document records; a ValueError when a field
+    is missing or has the wrong type."""
     try:
         outcomes = tuple(
             CheckOutcome(
-                constraint_id=o["constraint-id"],
-                status=o["status"],
-                count=o.get("count", 0),
-                limit=o.get("limit"),
-                reason=o.get("reason"),
-                parts_missing=o.get("parts-missing"),
+                constraint_id=_field(o, "constraint-id", (str,)),
+                status=_field(o, "status", (str,)),
+                count=_field(o, "count", (int,), 0),
+                limit=_field(o, "limit", _OPTIONAL_INT, None),
+                reason=_field(o, "reason", _OPTIONAL_STR, None),
+                parts_missing=_field(o, "parts-missing", _OPTIONAL_INT, None),
             )
-            for o in doc["outcomes"]
+            for o in _field(doc, "outcomes", (list,))
         )
         column = SourceOutcomes(
-            doc["source"], doc.get("pack"), doc.get("harvest-status", "complete"), outcomes
+            _field(doc, "source", (str,)),
+            _field(doc, "pack", _OPTIONAL_STR, None),
+            _field(doc, "harvest-status", (str,), "complete"),
+            outcomes,
         )
-    except (KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed outcomes document: {exc}") from None
     for o in outcomes:
         if o.status not in _STATUSES:
@@ -216,7 +240,7 @@ def summarize_counts(rows, fmt: str = "md") -> str:
 # Campaign directories
 
 
-def _read_json(path: Path, parse=lambda doc: doc):
+def _read_json(path: Path, parse):
     """``parse`` of a campaign JSON file; a torn or malformed file is an
     error that names it."""
     try:
@@ -246,7 +270,7 @@ def render_campaign(out_dir) -> dict[str, str]:
         triples = 0
         profile_path = sub / "profile.json"
         if profile_path.exists():
-            triples = _read_json(profile_path).get("triples", 0)
+            triples = _read_json(profile_path, lambda doc: _field(doc, "triples", (int,), 0))
         scanned.append((column, triples))
     if not scanned:
         raise ValueError(f"no outcomes.json found under {out}")

@@ -19,8 +19,8 @@ from rdfval.query import (
     And,
     Compare,
     Constant,
+    Count,
     Filter,
-    GroupCount,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
@@ -272,11 +272,11 @@ def _candidates(tp: TriplePattern, triples) -> list:
     return out
 
 
-def _segment_solutions(triples, items, rows):
-    tps = [i for i in items if isinstance(i, TriplePattern)]
-    filters = [i for i in items if isinstance(i, Filter)]
-    negations = [i for i in items if isinstance(i, NotExists)]
-    for tp in tps:
+def _rows_over(triples, pattern, rows):
+    """The rows of `pattern` under each of `rows`: its triple patterns
+    joined, then its counts, then its filters and negations."""
+    items = _flat(pattern)
+    for tp in (i for i in items if isinstance(i, TriplePattern)):
         cands = _candidates(tp, triples)
         joined = []
         for row in rows:
@@ -285,32 +285,15 @@ def _segment_solutions(triples, items, rows):
                 if new is not None:
                     joined.append(new)
         rows = joined
+    for c in (i for i in items if isinstance(i, Count)):
+        rows = [
+            {**r, c.into: Literal(str(len(_rows_over(triples, c.pattern, [dict(r)]))), XSD_INTEGER)}
+            for r in rows
+        ]
+    filters = [i for i in items if isinstance(i, Filter)]
     rows = [r for r in rows if all(accepts(f.expr, r) for f in filters)]
-    out = []
-    for r in rows:
-        if all(not _rows_over(triples, n.pattern, [dict(r)]) for n in negations):
-            out.append(r)
-    return out
-
-
-def _rows_over(triples, pattern, rows):
-    segment: list[Pattern] = []
-    for item in _flat(pattern):
-        if isinstance(item, GroupCount):
-            rows = _segment_solutions(triples, segment, rows)
-            counts: dict[tuple, int] = {}
-            for r in rows:
-                key = tuple(r.get(v) for v in item.group_vars)
-                counts[key] = counts.get(key, 0) + 1
-            rows = []
-            for key, n in counts.items():
-                new = dict(zip(item.group_vars, key))
-                new[item.into] = Literal(str(n), XSD_INTEGER)
-                rows.append(new)
-            segment = []
-        else:
-            segment.append(item)
-    return _segment_solutions(triples, segment, rows)
+    negations = [i for i in items if isinstance(i, NotExists)]
+    return [r for r in rows if all(not _rows_over(triples, n.pattern, [dict(r)]) for n in negations)]
 
 
 def naive_evaluate(g: Graph, pattern: Pattern) -> list[dict]:
@@ -916,7 +899,9 @@ COUNT = Variable("count")
 def random_pattern(rng, g: Graph):
     """A plannable pattern over a graph's own vocabulary: up to four
     triple patterns, at most one NotExists and one Filter, and sometimes a
-    closing GroupCount, half of those followed by a filter on the count."""
+    closing Count, half of those followed by a filter on the count.  The
+    patterns of NotExists and Count share some variables with the triple
+    patterns and have others of their own."""
     triples = list(g)
     subjects = [t.subject for t in triples] or [Iri("urn:ex:n0")]
     preds = sorted({t.predicate for t in triples}, key=term_text) or [PROPS[0]]
@@ -967,7 +952,8 @@ def random_pattern(rng, g: Graph):
         if isinstance(a, Variable)
     }
     outer_bound = [v for v in VARS if v in used]
-    if rng.random() < 0.5 and outer_bound:
+
+    def correlated():
         inner_fresh = [v for v in VARS if v not in outer_bound]
         inner_parts = []
         for _ in range(rng.randint(1, 2)):
@@ -987,8 +973,10 @@ def random_pattern(rng, g: Graph):
                     inner_atom(objects, 0.6),
                 )
             )
-        inner = inner_parts[0] if len(inner_parts) == 1 else And(inner_parts)
-        parts.insert(rng.randint(0, len(parts)), NotExists(inner))
+        return inner_parts[0] if len(inner_parts) == 1 else And(inner_parts)
+
+    if rng.random() < 0.5 and outer_bound:
+        parts.insert(rng.randint(0, len(parts)), NotExists(correlated()))
 
     if rng.random() < 0.5 and outer_bound:
         parts.insert(
@@ -997,10 +985,10 @@ def random_pattern(rng, g: Graph):
         )
 
     rng.shuffle(parts)
-    # Drawn after everything else, so that a group leaves the rest of the
+    # Drawn after everything else, so that a count leaves the rest of the
     # pattern as it was drawn.
     if rng.random() < 0.3 and outer_bound:
-        parts.append(GroupCount(rng.sample(outer_bound, rng.randint(1, len(outer_bound))), COUNT))
+        parts.append(Count(correlated(), COUNT))
         if rng.random() < 0.5:
             op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
             parts.append(Filter(Compare(op, Var(COUNT), Constant(_int_lit(rng.randint(0, 3))))))

@@ -206,7 +206,7 @@ def test_query_engine_agrees_with_naive_enumeration():
         want = naive_evaluate(graph, pattern)
         direct = list(evaluate(graph, pattern))
         compiled = plan(pattern)
-        # Row values are ids, except a GroupCount's count literal.
+        # Row values are ids, except a Count's literal.
         planned = [
             {v: graph.term(x) if isinstance(x, int) else x for v, x in zip(compiled.columns, row)}
             for row in run_plan(graph, compiled)

@@ -33,7 +33,7 @@ from rdfval.checker import (
     violations_ntriples,
     violations_to_graph,
 )
-from rdfval.graph import GraphBuilder
+from rdfval.graph import Graph, GraphBuilder
 from rdfval.ntriples import serialize_ntriples
 from rdfval.packs import FIXTURES, load_fixture, load_pack
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER
@@ -279,8 +279,38 @@ def test_limit_stops_the_constraint_after_a_bounded_number_of_rows(monkeypatch):
     assert next(rows) == 2
 
 
+def test_a_cardinality_at_its_limit_counts_a_few_foci_not_the_class(monkeypatch):
+    n = 1000
+    g = graph(
+        *[
+            t
+            for i in range(n)
+            for t in (
+                (iri(f"s{i}"), RDF_TYPE, iri("C")),
+                (iri(f"s{i}"), iri("p"), iri("o1")),
+                (iri(f"s{i}"), iri("p"), iri("o2")),
+            )
+        ]
+    )
+    c = constraint("MAX-UNQUALIFIED-CARDINALITY", {"class": iri("C"), "property": iri("p"), "bound": 1})
+    assert run_one(g, c).count == n
+    calls = itertools.count()
+    match_ids = Graph.match_ids
+
+    def counted(*args):
+        next(calls)
+        return match_ids(*args)
+
+    monkeypatch.setattr(Graph, "match_ids", counted)
+    outcome = run_one(g, c, limit=1)
+    assert outcome.status == TRUNCATED and outcome.count == 1
+    # The class scan and the counts of the first two foci, not one count
+    # per focus before the first violation.
+    assert next(calls) <= 4
+
+
 # One focus with many values: once the first few ticks are past, the
-# evaluation is inside a NotExists body or a grouping stage.
+# evaluation is inside a NotExists or Count body.
 WIDE = graph(
     (iri("s"), RDF_TYPE, iri("C")),
     *[(iri("s"), iri("p"), Literal(f"v{i}")) for i in range(3000)],

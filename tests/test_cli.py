@@ -256,10 +256,22 @@ def test_report_needs_outcome_files(tmp_path):
 def test_report_names_a_torn_outcomes_file(tmp_path):
     seed_campaign_dir(tmp_path)
     torn = tmp_path / "alpha" / "outcomes.json"
+    outcomes = json.loads(torn.read_text(encoding="utf-8"))
     torn.write_bytes(torn.read_bytes()[:20])
     result = CliRunner().invoke(main, ["report", "--from", str(tmp_path)])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: {torn}: ")
+    # JSON that parses but holds the wrong types is named the same way.
+    outcomes["outcomes"][0].update(status="violated", count="5")
+    cases = [("profile.json", [1, 2]), ("profile.json", {"triples": "12"}), ("outcomes.json", outcomes)]
+    for i, (name, doc) in enumerate(cases):
+        out = tmp_path / f"case-{i}"
+        seed_campaign_dir(out)
+        malformed = out / "alpha" / name
+        malformed.write_text(json.dumps(doc), encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", "--from", str(out)])
+        assert result.exit_code == 2, (name, doc)
+        assert result.stderr.startswith(f"error: {malformed}: "), result.stderr
 
 
 def endpoint_graph():

@@ -152,7 +152,7 @@ def test_no_stage_is_compiled_behind_a_scan_that_matches_nothing(monkeypatch):
 
         return compile_step
 
-    monkeypatch.setattr(_Compiler, "anti_join", refuse("anti_join"))
+    monkeypatch.setattr(_Compiler, "nested", refuse("nested"))
     monkeypatch.setattr(_Compiler, "filter", refuse("filter"))
     g = GraphBuilder().freeze()
     for pack in PACKS:

@@ -2,8 +2,9 @@
 
 Every fixture is checked against every shipped pack, and the sha256 of
 each report file is compared with a digest recorded from a known-good
-build, together with the exit code.  A campaign over the four fixtures,
-each served by a mock endpoint, is pinned the same way.  A change that
+build, together with the exit code.  The 20-constraint perf catalog over
+a small wide graph, and a campaign over the four fixtures, each served by
+a mock endpoint, are pinned the same way.  A change that
 alters any output, even by one byte, has to update a digest here, so the
 difference shows in its diff.
 """
@@ -17,7 +18,10 @@ from click.testing import CliRunner
 import rdfval.packs
 from mockserver import MockEndpoint
 from rdfval.cli import main
+from rdfval.ntriples import serialize_ntriples
 from rdfval.packs import FIXTURES, PACKS
+from rdfval.terms import Iri
+from test_acceptance import build_wide_graph, wide_catalog
 
 FIXTURE_DIR = Path(rdfval.packs.__file__).parent / "data" / "fixtures"
 REPORT_FILES = ("outcomes.json", "violations.nt", "matrix.csv", "matrix.md")
@@ -26,8 +30,13 @@ REPORT_FILES = ("outcomes.json", "violations.nt", "matrix.csv", "matrix.md")
 def report_digests(fixture: str, pack: str, out: Path) -> tuple[int, dict[str, str]]:
     """The exit code of `validate --out` on a fixture and pack, and the
     sha256 of each report file."""
-    args = ["validate", "--data", str(FIXTURE_DIR / f"{fixture}.nt"), "--pack", pack, "--out", str(out)]
-    result = CliRunner().invoke(main, args)
+    return validate_digests(["--data", str(FIXTURE_DIR / f"{fixture}.nt"), "--pack", pack], out)
+
+
+def validate_digests(args: list[str], out: Path) -> tuple[int, dict[str, str]]:
+    """The exit code of `validate --out` with `args`, and the sha256 of
+    each report file."""
+    result = CliRunner().invoke(main, ["validate", *args, "--out", str(out)])
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPORT_FILES}
     return result.exit_code, digests
 
@@ -149,6 +158,66 @@ GOLDEN = {
 @pytest.mark.parametrize("pack", PACKS)
 def test_report_files_match_their_recorded_digests(tmp_path, fixture, pack):
     assert report_digests(fixture, pack, tmp_path) == GOLDEN[fixture, pack]
+
+
+# ---------------------------------------------------------------------------
+# The perf catalog over the wide graph of 2,000 entities.  At `--limit 3`,
+# PERF-01, PERF-03 and PERF-17 are truncated, and PERF-03 (min qualified
+# cardinality) keeps three of its 550 foci with no qualified value.
+
+
+def catalog_document(catalog) -> dict:
+    """A catalog as the JSON document `load_catalog` reads."""
+    return {
+        "constraints": [
+            {
+                "id": c.id,
+                "vocabulary": c.vocabulary,
+                "family": c.family.family_id,
+                "severity": c.severity.json_name,
+                "status": c.status,
+                "params": {k: v.text if isinstance(v, Iri) else v for k, v in c.params.items()},
+                "message": c.message,
+                "expressivity": sorted(c.expressivity),
+            }
+            for c in catalog.constraints
+        ]
+    }
+
+
+# `--limit` -> (exit code, digest per report file)
+PERF_GOLDEN = {
+    "default": (
+        1,
+        {
+            "outcomes.json": "b30537e9f211ff4cc385fe3f343e0a2fbfa72f33a2d163a69ac07fcb4a974d06",
+            "violations.nt": "0383921b3164d200cabae02bebc5bc47f652e6ea132785b68b758d724343dd7f",
+            "matrix.csv": "b4e009972b5459e1bfb1df039ad40975ce2b02119119e96008a0f7dc891e2db0",
+            "matrix.md": "97d6dc20e700ebd4aece215d23201314bdac136597d8e0e9763aa0a28c8bde25",
+        },
+    ),
+    "3": (
+        1,
+        {
+            "outcomes.json": "a64dc5ed64c92297f1820b5ecc9b269a63669f331a774f551f42543fa7977197",
+            "violations.nt": "7d5587164563b45055bfe61130b5c64292b1cc7bc1823dff68554449c8ef926b",
+            "matrix.csv": "52ae2ba5db3a37ceb15e1f1f85f0c4e1a4b1231be19c3f59e5a4885f29af0cb2",
+            "matrix.md": "e7ea54a82af85ec08716770136b7f377e54ffc600afc5a2a006ffc928e513565",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(PERF_GOLDEN))
+def test_perf_catalog_reports_match_their_recorded_digests(tmp_path, limit):
+    graph, classes, props = build_wide_graph(2000)
+    data, catalog = tmp_path / "wide.nt", tmp_path / "catalog.json"
+    data.write_bytes(serialize_ntriples(graph))
+    catalog.write_text(json.dumps(catalog_document(wide_catalog(classes, props))), encoding="utf-8")
+    args = ["--data", str(data), "--catalog", str(catalog)]
+    if limit != "default":
+        args += ["--limit", limit]
+    assert validate_digests(args, tmp_path / "out") == PERF_GOLDEN[limit]
 
 
 # ---------------------------------------------------------------------------

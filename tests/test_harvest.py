@@ -21,6 +21,7 @@ from rdfval.harvest import (
     read_data,
     run_campaign,
 )
+from rdfval.packs import load_fixture
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_STRING
 
 EX = "urn:ex:"
@@ -390,6 +391,24 @@ def test_campaign_skips_stored_complete_sources(tmp_path):
     assert run.from_cache
     assert after == before
     assert [o.constraint_id for o in run.outcomes] == ["T-1"]
+
+
+def test_campaign_rerun_checks_stored_data_at_its_own_limit(tmp_path):
+    def summary(run):
+        return [(o.constraint_id, o.status, o.count) for o in run.outcomes]
+
+    with mockserver.MockEndpoint(load_fixture("cube-gaps")) as ep:
+        src = source(ep.url, vocabulary="qb")
+        run_campaign([src], tmp_path, **campaign_kw(catalogs=None, limit=1000))
+        before = len(ep.requests)
+        (rerun,) = run_campaign([src], tmp_path, **campaign_kw(catalogs=None, limit=1))
+        assert len(ep.requests) == before
+        (fresh,) = run_campaign([src], tmp_path / "fresh", **campaign_kw(catalogs=None, limit=1))
+    assert rerun.from_cache and not fresh.from_cache
+    assert ("QB-C-DATA-MODEL-CONSISTENCY-01", "truncated", 1) in summary(rerun)
+    assert summary(rerun) == summary(fresh)
+    stored = (tmp_path / "src" / "outcomes.json").read_bytes()
+    assert stored == (tmp_path / "fresh" / "src" / "outcomes.json").read_bytes()
 
 
 def test_campaign_checks_stored_data_when_outcomes_are_missing(tmp_path):

@@ -1,4 +1,4 @@
-"""Query kernel: planning errors, join semantics, filters, grouping, budgets."""
+"""Query kernel: planning errors, join semantics, filters, counts, budgets."""
 import itertools
 import time
 
@@ -11,8 +11,8 @@ from rdfval.query import (
     BudgetExceeded,
     Compare,
     Constant,
+    Count,
     Filter,
-    GroupCount,
     IsIri,
     IsLiteral,
     IsValidForDatatype,
@@ -244,51 +244,65 @@ def test_iri_and_literal_probes():
     assert [r[A] for r in rows(g, And([tp, Filter(IsLiteral(A))]))] == [Literal("x")]
 
 
-def test_group_count_values_per_subject():
-    p = And(
-        [
-            TriplePattern(A, iri("p"), B),
-            GroupCount((A,), C),
-        ]
-    )
-    got = rows(SMALL, p)
+COUNTED = [TriplePattern(A, RDF_TYPE, iri("C")), Count(TriplePattern(A, iri("p"), B), C)]
+
+
+def test_count_values_per_subject():
+    got = rows(SMALL, And(COUNTED))
     counts = {r[A]: r[C] for r in got}
     assert counts == {
         iri("s1"): Literal("2", XSD_INTEGER),
         iri("s2"): Literal("1", XSD_INTEGER),
     }
+    # The counted pattern's own variables stay inside it.
     assert all(set(r) == {A, C} for r in got)
 
 
-def test_group_count_then_filter():
-    p = And(
-        [
-            TriplePattern(A, iri("p"), B),
-            GroupCount((A,), C),
-            Filter(Compare(">", Var(C), Constant(Literal("1", XSD_INTEGER)))),
-        ]
-    )
+def test_count_then_filter():
+    p = And([*COUNTED, Filter(Compare(">", Var(C), Constant(Literal("1", XSD_INTEGER))))])
     assert [r[A] for r in rows(SMALL, p)] == [iri("s1")]
 
 
-def test_plan_rejects_a_triple_pattern_that_reads_a_group_count():
+def test_count_of_a_pattern_with_a_negation():
     d = Variable("d")
-    p = And([TriplePattern(A, iri("p"), B), GroupCount((A,), C), TriplePattern(d, iri("q"), C)])
+    values_without_q = And([TriplePattern(A, iri("p"), B), NotExists(TriplePattern(B, iri("q"), d))])
+    p = And([TriplePattern(A, RDF_TYPE, iri("C")), Count(values_without_q, C)])
+    assert {r[A]: r[C].lexical for r in rows(SMALL, p)} == {iri("s1"): "1", iri("s2"): "0"}
+
+
+def test_an_uncorrelated_count_counts_the_whole_pattern():
+    d, e = Variable("d"), Variable("e")
+    p = And([Count(TriplePattern(A, iri("p"), B), C), TriplePattern(d, iri("q"), e)])
+    assert rows(SMALL, p) == [{d: iri("o1"), e: Literal("5", XSD_INTEGER), C: Literal("3", XSD_INTEGER)}]
+
+
+def test_plan_rejects_a_triple_pattern_that_reads_a_count():
+    d = Variable("d")
+    p = And([*COUNTED, TriplePattern(d, iri("q"), C)])
     with pytest.raises(PlanError, match=r"triple pattern reads the count \?c"):
         plan(p)
-    inner = And([TriplePattern(A, iri("p"), B), GroupCount((A,), C), NotExists(TriplePattern(A, iri("q"), C))])
+    inner = And([*COUNTED, NotExists(TriplePattern(A, iri("q"), C))])
     with pytest.raises(PlanError, match=r"triple pattern reads the count \?c"):
         plan(inner)
+    counted = And([*COUNTED, Count(TriplePattern(A, iri("q"), C), d)])
+    with pytest.raises(PlanError, match=r"triple pattern reads the count \?c"):
+        plan(counted)
 
 
-def test_group_count_of_nothing_is_no_rows():
-    p = And(
-        [
-            TriplePattern(A, iri("absent"), B),
-            GroupCount((A,), C),
-        ]
-    )
-    assert rows(SMALL, p) == []
+def test_plan_rejects_a_count_into_a_bound_variable_or_its_own_pattern():
+    d = Variable("d")
+    with pytest.raises(PlanError, match=r"count variable \?b is already bound"):
+        plan(And([TriplePattern(A, iri("p"), B), Count(TriplePattern(A, iri("q"), d), B)]))
+    reads_itself = And([TriplePattern(A, iri("p"), d), Filter(Compare(">", Var(C), Var(d)))])
+    with pytest.raises(PlanError, match=r"count \?c waits on itself"):
+        plan(And([TriplePattern(A, iri("p"), B), Count(reads_itself, C)]))
+
+
+def test_count_of_nothing_is_a_zero_row():
+    zero = Literal("0", XSD_INTEGER)
+    p = And([TriplePattern(A, RDF_TYPE, iri("C")), Count(TriplePattern(A, iri("absent"), B), C)])
+    assert sorted((r[A].text, r[C]) for r in rows(SMALL, p)) == [(EX + "s1", zero), (EX + "s2", zero)]
+    assert rows(SMALL, Count(TriplePattern(A, iri("absent"), B), C)) == [{C: zero}]
 
 
 def test_plan_rejects_filters_over_unbound_variables():
@@ -303,21 +317,9 @@ def test_plan_rejects_filters_over_unbound_variables():
     assert "?c" in str(err.value)
 
 
-def test_plan_rejects_group_variables_never_bound():
-    p = And([TriplePattern(A, iri("p"), B), GroupCount((C,), Variable("n"))])
-    with pytest.raises(PlanError):
-        plan(p)
-
-
-def test_plan_rejects_variables_consumed_by_grouping():
-    p = And(
-        [
-            TriplePattern(A, iri("p"), B),
-            GroupCount((A,), C),
-            Filter(IsLiteral(B)),
-        ]
-    )
-    with pytest.raises(PlanError):
+def test_plan_keeps_the_variables_of_a_count_inside_it():
+    p = And([*COUNTED, Filter(IsLiteral(B))])
+    with pytest.raises(PlanError, match=r"filter references unbound \?b"):
         plan(p)
 
 
@@ -417,7 +419,7 @@ def test_run_plan_streams_its_outermost_loop(monkeypatch):
 
 
 # One subject with many values: past the first few ticks, all work is
-# inside the NotExists body or the grouping stage.
+# inside the NotExists or Count body.
 WIDE = graph(
     (iri("s"), RDF_TYPE, iri("C")),
     *[(iri("s"), iri("p"), Literal(f"v{i}")) for i in range(3000)],
@@ -433,9 +435,9 @@ def test_deadline_passing_inside_not_exists_body_raises(monkeypatch):
         list(run_plan(WIDE, plan(p), deadline=10.0))
 
 
-def test_deadline_passing_inside_group_count_raises(monkeypatch):
+def test_deadline_passing_inside_count_raises(monkeypatch):
     n = Variable("n")
-    p = And([TriplePattern(A, RDF_TYPE, iri("C")), TriplePattern(A, iri("p"), B), GroupCount([A], n)])
+    p = And([TriplePattern(A, RDF_TYPE, iri("C")), Count(TriplePattern(A, iri("p"), B), n)])
     assert list(evaluate(WIDE, p, deadline=time.monotonic() + 60)) == [{A: iri("s"), n: Literal("3000", XSD_INTEGER)}]
     clock_passing_after(monkeypatch, 1)
     with pytest.raises(BudgetExceeded):
