@@ -690,6 +690,7 @@ def classify(catalog: Catalog) -> ClassificationSummary:
 # Linting
 
 _EMPTY_CLASS_IDIOMS = ("[^\\s\\S]", "[^\\d\\D]", "[^\\w\\W]")
+_ESCAPE_OR_CLASS = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]?", re.S)
 
 
 @dataclass(frozen=True)
@@ -700,18 +701,18 @@ class LintFinding:
 
 
 def _regex_never_matches(pattern: str) -> bool:
-    for idiom in _EMPTY_CLASS_IDIOMS:
-        if idiom in pattern:
-            return True
-    # A mid-pattern "$" directly followed by more required material can
-    # never match; "$" before ")", "|", or at the end is fine.
-    for m in re.finditer(r"\$", pattern):
-        i = m.start()
-        if i > 0 and pattern[i - 1] == "\\":
-            continue
-        if i + 1 < len(pattern) and pattern[i + 1] not in ")|":
-            return True
-    return False
+    if any(idiom in pattern for idiom in _EMPTY_CLASS_IDIOMS):
+        return True
+    # "$" matches only at the end or before a newline, so a top-level "$"
+    # that a literal other than a newline must follow never matches; escapes,
+    # classes and groups become an opaque "%", and a second top-level branch
+    # might match instead.  Inline MULTILINE or VERBOSE turns this off.
+    if re.search(r"\(\?[aiLmsux]*[mx]", pattern):
+        return False
+    plain, previous = _ESCAPE_OR_CLASS.sub("%", pattern), None
+    while plain != previous:
+        plain, previous = re.sub(r"\([^()]*\)", "%", plain), plain
+    return "|" not in plain and re.search(r"\$[^\n.^$*+?{|()%](?![?*{])", plain) is not None
 
 
 def lint_catalog(catalog: Catalog) -> list[LintFinding]:

@@ -17,7 +17,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urlencode
+from urllib.parse import quote, urlencode
 
 from .catalog import Catalog
 from .checker import (
@@ -33,7 +33,7 @@ from .packs import PROFILE_CLASSES, load_pack
 from .report import SourceOutcomes, outcomes_document
 from .terms import BlankNode, Iri, Literal, RDF_TYPE, Term
 
-RESULTS_MEDIA_TYPE = "application/sparql-results+json"
+REQUEST_HEADERS = {"Accept": "application/sparql-results+json", "Accept-Encoding": "gzip"}
 # Query strings beyond this URL length go as a form-encoded POST instead.
 MAX_GET_URL = 2048
 
@@ -98,6 +98,9 @@ def load_sources(data) -> list[Source]:
             problems.append(f"{where}: abbreviation must be a non-empty string")
             continue
         where = f"source {abbr!r}"
+        if abbr in (".", "..") or any(c in abbr for c in "/\\\0"):
+            problems.append(f"{where}: abbreviation must be one path component")
+            continue
         if abbr in seen:
             problems.append(f"{where}: duplicate abbreviation")
             continue
@@ -219,44 +222,46 @@ def _parse_rows(payload: bytes, blanks: _EndpointBlanks) -> list[tuple[Term, Iri
 
 
 def _fetch_page(
-    session, source: Source, offset: int, sleep, blanks: _EndpointBlanks
+    source: Source, offset: int, sleep, blanks: _EndpointBlanks
 ) -> list[tuple[Term, Iri, Term]]:
-    import requests
+    # The HTTP stack is imported here, not at module level, so that
+    # processes that only validate never load it.
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    query = _page_query(source.page_size, offset)
-    headers = {"Accept": RESULTS_MEDIA_TYPE}
-    get_url = source.endpoint_url + "?" + urlencode({"query": query})
+    # A space or a non-ASCII character is percent-encoded; reserved ones stay.
+    endpoint = quote(source.endpoint_url, safe="!#$%&'()*+,/:;=?@[]~")
+    form = urlencode({"query": _page_query(source.page_size, offset)})
+    url = endpoint + ("&" if "?" in endpoint else "?") + form
+    body = None
+    if len(url) > MAX_GET_URL:
+        url, body = endpoint, form.encode("ascii")
+    request = urllib.request.Request(url, body, REQUEST_HEADERS)
     last_reason = "no attempt made"
     for attempt in range(source.max_retries + 1):
         if attempt:
             sleep(BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
         try:
-            if len(get_url) <= MAX_GET_URL:
-                response = session.get(
-                    source.endpoint_url,
-                    params={"query": query},
-                    headers=headers,
-                    timeout=source.timeout,
-                )
-            else:
-                response = session.post(
-                    source.endpoint_url,
-                    data={"query": query},
-                    headers=headers,
-                    timeout=source.timeout,
-                )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=source.timeout) as response:
+                payload = response.read()
+                if response.headers.get("Content-Encoding") == "gzip":
+                    payload = gzip.decompress(payload)
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            last_reason = f"HTTP {exc.code}"
+            continue
+        except (OSError, EOFError, zlib.error, http.client.HTTPException) as exc:
             last_reason = f"request failed: {exc}"
             continue
-        if response.status_code != 200:
-            last_reason = f"HTTP {response.status_code}"
+        if response.status != 200:
+            last_reason = f"HTTP {response.status}"
             continue
         try:
-            return _parse_rows(response.content, blanks)
+            return _parse_rows(payload, blanks)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             # json.loads raises RecursionError on deeply nested input.
             last_reason = f"malformed result set: {exc}"
-            continue
     raise _PageFailure(last_reason)
 
 
@@ -266,30 +271,23 @@ def harvest(source: Source, *, sleep=time.sleep) -> HarvestResult:
     A failing first page makes the source unavailable; a failure after at
     least one page yields a partial result with everything fetched so far.
     """
-    # The HTTP stack is imported here, not at module level, so that
-    # processes that only validate never load it.
-    import requests
-
     builder = GraphBuilder()
     # Results scope blank labels per result set; one scope across the
     # pages keeps a label that recurs on a later page the same node.
     blanks = _EndpointBlanks()
     pages = 0
-    offset = 0
-    with requests.Session() as session:
-        while True:
-            try:
-                rows = _fetch_page(session, source, offset, sleep, blanks)
-            except _PageFailure as exc:
-                status, reason = UNAVAILABLE if pages == 0 else PARTIAL, str(exc)
-                break
-            pages += 1
-            for s, p, o in rows:
-                builder.add(s, p, o)
-            if len(rows) < source.page_size:
-                status, reason = COMPLETE, None
-                break
-            offset += source.page_size
+    while True:
+        try:
+            rows = _fetch_page(source, pages * source.page_size, sleep, blanks)
+        except _PageFailure as exc:
+            status, reason = UNAVAILABLE if pages == 0 else PARTIAL, str(exc)
+            break
+        pages += 1
+        for s, p, o in rows:
+            builder.add(s, p, o)
+        if len(rows) < source.page_size:
+            status, reason = COMPLETE, None
+            break
     return HarvestResult(
         source, status, builder.freeze(name=source.abbreviation), pages, reason,
         blank_nodes=len(blanks),

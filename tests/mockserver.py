@@ -6,6 +6,7 @@ request log so tests can assert paging and retry behaviour.
 """
 from __future__ import annotations
 
+import gzip
 import json
 import re
 import socket
@@ -48,6 +49,10 @@ class MockEndpoint:
         self.fail_offsets: set[int] = set()
         self.malformed_offsets: set[int] = set()
         self.malformed_body = b"{ not json"
+        # Opt-in: pages go gzip-encoded to a client that accepts gzip, and
+        # their offsets are logged in ``gzipped``.
+        self.gzip = False
+        self.gzipped: list[int] = []
         self.requests: list[tuple[str, int, int]] = []
         endpoint = self
 
@@ -89,15 +94,18 @@ class MockEndpoint:
                         ]
                     },
                 }
-                self._send(
-                    200,
-                    json.dumps(doc).encode("utf-8"),
-                    "application/sparql-results+json",
-                )
+                body = json.dumps(doc).encode("utf-8")
+                encoding = None
+                if endpoint.gzip and "gzip" in self.headers.get("Accept-Encoding", ""):
+                    body, encoding = gzip.compress(body, mtime=0), "gzip"
+                    endpoint.gzipped.append(offset)
+                self._send(200, body, "application/sparql-results+json", encoding)
 
-            def _send(self, code, body, content_type):
+            def _send(self, code, body, content_type, encoding=None):
                 self.send_response(code)
                 self.send_header("Content-Type", content_type)
+                if encoding is not None:
+                    self.send_header("Content-Encoding", encoding)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)

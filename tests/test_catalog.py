@@ -1,5 +1,6 @@
 """Catalog loading, parameter coercion, classification, linting."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -275,12 +276,28 @@ def test_lint_findings():
     }
 
 
+# Each pattern with a string it matches: a "$" in a class, one followed by
+# an escape or an optional literal, or one in a branch that can be skipped.
+MATCHING_REGEXES = [
+    ("^(a|b)$", "a"),
+    (r"^[$]\d+$", "$12"),
+    (r"\d+[$€]", "12€"),
+    (r"(?m)^a$\nb", "a\nb"),
+    (r"a$\n", "a\n"),
+    (r"a$\Z", "a"),
+    ("a$b?", "a"),
+    ("a$b|c", "c"),
+]
+
+
 def test_lint_accepts_reasonable_regexes():
-    cat = load_one(
-        entry(
-            cid="C-1",
-            family="LITERAL-PATTERN-MATCHING",
-            params={"property": "ex:p", "pattern": "^(a|b)$"},
+    for pattern, witness in MATCHING_REGEXES:
+        assert re.search(pattern, witness), pattern
+        cat = load_one(
+            entry(
+                cid="C-1",
+                family="LITERAL-PATTERN-MATCHING",
+                params={"property": "ex:p", "pattern": pattern},
+            )
         )
-    )
-    assert lint_catalog(cat) == []
+        assert lint_catalog(cat) == [], pattern

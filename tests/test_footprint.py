@@ -1,9 +1,11 @@
-"""What a validating process loads and builds: no HTTP stack, word-array
+"""What a validating process loads and builds: no HTTP stack (and a
+campaign needs no HTTP library beyond the standard one), word-array
 indexes with a list fallback, an OSP index built on first use, no
 pipeline compiled past an outermost scan that can match nothing, result
 rows of raw ids rather than Term dicts, and outcome records without a
 per-instance dict."""
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -21,6 +23,7 @@ from rdfval.graph import Graph, GraphBuilder
 from rdfval.packs import FIXTURES, PACKS, load_fixture, load_pack
 from rdfval.query import _Compiler, run_plan
 from rdfval.terms import BlankNode, Iri, Literal, XSD_INTEGER
+from test_golden import CAMPAIGN_GOLDEN
 
 SRC = Path(rdfval.__file__).resolve().parents[1]
 FIXTURE_DIR = SRC / "rdfval" / "packs" / "data" / "fixtures"
@@ -34,17 +37,21 @@ def _python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
+HTTP_STACK = ("requests", "urllib.request", "http.client")
+BLOCK_HTTP_STACK = "".join(f"sys.modules[{name!r}] = None; " for name in HTTP_STACK)
+
+
 def test_importing_the_package_and_cli_leaves_out_the_http_stack():
-    result = _python("import sys, rdfval, rdfval.cli; print('requests' in sys.modules)")
+    result = _python(f"import sys, rdfval, rdfval.cli; print([m for m in {HTTP_STACK!r} if m in sys.modules])")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_validate_runs_without_the_http_stack(tmp_path):
     run_cli = "import sys; {block}from rdfval.cli import main; main()"
     args = ["validate", "--data", str(FIXTURE_DIR / "study-archive.nt"), "--pack", "ddi-rdf", "--out"]
     plain = _python(run_cli.format(block=""), *args, str(tmp_path / "plain"))
-    blocked = _python(run_cli.format(block="sys.modules['requests'] = None; "), *args, str(tmp_path / "blocked"))
+    blocked = _python(run_cli.format(block=BLOCK_HTTP_STACK), *args, str(tmp_path / "blocked"))
     assert plain.returncode == 1, plain.stderr
     assert blocked.returncode == plain.returncode, blocked.stderr
     names = sorted(p.name for p in (tmp_path / "plain").iterdir())
@@ -52,6 +59,21 @@ def test_validate_runs_without_the_http_stack(tmp_path):
     assert "outcomes.json" in names and "violations.nt" in names
     for name in names:
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "blocked" / name).read_bytes(), name
+
+
+def test_a_campaign_runs_without_requests(tmp_path):
+    # The fixture campaign of test_golden, with requests made unimportable.
+    code = (
+        "import sys, json; sys.modules['requests'] = None; sys.path.insert(0, sys.argv[1]); "
+        "from pathlib import Path; from test_golden import campaign_digests; "
+        "print(json.dumps(campaign_digests(Path(sys.argv[2]))))"
+    )
+    result = _python(code, str(Path(__file__).parent), str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    digests = json.loads(result.stdout.splitlines()[-1])
+    stored = {k: v for k, v in CAMPAIGN_GOLDEN.items() if k.endswith(("/data.nt.gz", "/outcomes.json"))}
+    assert len(stored) == 8
+    assert {k: digests.get(k) for k in stored} == stored
 
 
 def _spo(triples) -> list[tuple]:

@@ -3,6 +3,7 @@ import gzip
 import json
 import math
 import types
+from urllib.parse import urlencode
 
 import pytest
 
@@ -15,6 +16,7 @@ from rdfval.harvest import (
     PARTIAL,
     UNAVAILABLE,
     Source,
+    _page_query,
     harvest,
     load_sources,
     profile,
@@ -91,6 +93,11 @@ def test_load_sources_reports_every_problem():
             {"abbreviation": "z", "endpoint-url": "http://h/", "extra": 1},
             {"abbreviation": "n", "endpoint-url": "http://h/", "timeout": math.nan},
             {"abbreviation": "i", "endpoint-url": "http://h/", "timeout": math.inf},
+            {"abbreviation": ".", "endpoint-url": "http://h/"},
+            {"abbreviation": "..", "endpoint-url": "http://h/"},
+            {"abbreviation": "x/y", "endpoint-url": "http://h/"},
+            {"abbreviation": "x\\y", "endpoint-url": "http://h/"},
+            {"abbreviation": "x\u0000y", "endpoint-url": "http://h/"},
         ]
     )
     with pytest.raises(ValueError) as err:
@@ -103,6 +110,9 @@ def test_load_sources_reports_every_problem():
     assert "'extra'" in text
     assert "source 'n': timeout must be a finite positive number" in text
     assert "source 'i': timeout must be a finite positive number" in text
+    # Each abbreviation names a directory under the campaign's output.
+    for abbr in (".", "..", "x/y", "x\\y", "x\0y"):
+        assert f"source {abbr!r}: abbreviation must be one path component" in text
 
 
 def test_load_sources_requires_a_json_array():
@@ -257,6 +267,44 @@ def test_long_urls_switch_to_post():
         methods = {m for m, _, _ in ep.requests}
     assert result.status == COMPLETE
     assert methods == {"POST"}
+
+
+def test_an_endpoint_url_keeps_its_query_string_on_get():
+    g = sample_graph(2)
+    with mockserver.MockEndpoint(g) as ep:
+        # The mock serves any path; a space and a non-ASCII path are sent
+        # percent-encoded.
+        for url in (ep.url + "?key=v", ep.url + "?key=a b", ep.url + "/spärql?key=v"):
+            ep.requests.clear()
+            result = harvest(source(url), sleep=no_sleep)
+            assert result.status == COMPLETE, (url, result.reason)
+            assert len(result.graph) == len(g)
+            assert [m for m, _, _ in ep.requests] == ["GET"]
+
+
+def test_get_up_to_2048_bytes_of_url_then_post():
+    g = sample_graph(2)
+    query = urlencode({"query": _page_query(10_000, 0)})
+    with mockserver.MockEndpoint(g) as ep:
+        pad = 2048 - len(ep.url + "?pad=&" + query)
+        for extra, method in ((0, "GET"), (1, "POST")):
+            ep.requests.clear()
+            base = ep.url + "?pad=" + "x" * (pad + extra)
+            result = harvest(source(base), sleep=no_sleep)
+            assert result.status == COMPLETE
+            assert [m for m, _, _ in ep.requests] == [method]
+
+
+def test_gzip_encoded_pages_are_decoded():
+    g = sample_graph(12)
+    with mockserver.MockEndpoint(g) as ep:
+        ep.gzip = True
+        result = harvest(source(ep.url, page_size=5), sleep=no_sleep)
+        offsets = [offset for _, _, offset in ep.requests]
+        gzipped = list(ep.gzipped)
+    assert result.status == COMPLETE
+    assert set(result.graph) == set(g)
+    assert gzipped == offsets == [0, 5, 10, 15]
 
 
 def virtuoso_labels(monkeypatch, rename=lambda label: f"nodeID://{label}"):
