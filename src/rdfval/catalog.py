@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .datatypes import SUPPORTED_DATATYPES
-from .terms import Iri, Literal, SCHEME_RE, Term
+from .terms import Iri, Literal, SCHEME_RE, SURROGATE_RE, Term
 
 
 class Severity(enum.IntEnum):
@@ -536,20 +536,39 @@ def _load_constraint(
     )
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def read_json(data, what: str):
+    """The JSON document in ``data``: bytes (UTF-8, with or without a byte
+    order mark), text, or a binary file object. Bad UTF-8 or JSON, nesting
+    too deep to parse, an integer past the digit limit and a lone surrogate
+    in any string (RFC 8259, sections 8.2 and 9) are each one ValueError
+    that names ``what``."""
+    if hasattr(data, "read"):
+        data = data.read()
+    try:
+        if isinstance(data, str):
+            data = data.encode("utf-8")  # fails on a raw lone surrogate
+        data = data.decode("utf-8-sig")  # strict, so no raw surrogate is left
+        doc = json.loads(data)
+        if _SURROGATE_ESCAPE.search(data) and SURROGATE_RE.search(json.dumps(doc, ensure_ascii=False)):
+            raise ValueError("a string holds an escaped lone surrogate")
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+    return doc
+
+
 def load_catalog(data) -> Catalog:
     """Load a catalog document (bytes, text, or a binary file object).
 
     Raises CatalogError listing every problem found; never fails fast.
     """
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     problems: list[tuple[str | None, str]] = []
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CatalogError([(None, f"invalid JSON: {exc}")]) from None
+        doc = read_json(data, "catalog")
+    except ValueError as exc:
+        raise CatalogError([(None, str(exc))]) from None
     if not isinstance(doc, dict):
         raise CatalogError([(None, "catalog document must be a JSON object")])
     for key in doc:

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when validation found violations at or above
-the --fail-on severity, 2 on operational errors.  Engine failures are
-reported but never turn the exit code to 1 on their own.
+the --fail-on severity, 2 on operational and internal errors.  Engine
+failures are reported but never turn the exit code to 1 on their own.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -82,7 +83,11 @@ def _operational_errors(f):
             return f(*args, **kwargs)
         except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        except click.ClickException:
+            raise
+        except Exception:  # an internal error: no verdict on the data
+            traceback.print_exc()
+        sys.exit(2)
 
     return wrapper
 

@@ -207,13 +207,6 @@ def temporal_value(lit: Literal) -> tuple[tuple, bool] | None:
     return None if parse is None else parse(lit.lexical)
 
 
-def temporal_key(lit: Literal) -> tuple | None:
-    """The key of ``temporal_value``. Keys of two zoned or of two unzoned
-    values order them; ``temporal_order`` orders a mixed pair."""
-    value = temporal_value(lit)
-    return None if value is None else value[0]
-
-
 def temporal_order(a: tuple[tuple, bool], b: tuple[tuple, bool]) -> int | None:
     """-1, 0 or 1 as the temporal value `a` is before, at or after `b`.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote, urlencode
 
-from .catalog import Catalog
+from .catalog import Catalog, read_json
 from .checker import (
     CheckOutcome,
     DEFAULT_BUDGET,
@@ -70,14 +70,7 @@ _SOURCE_KEYS = {
 
 def load_sources(data) -> list[Source]:
     """Load a sources file (bytes, text, or a binary file object)."""
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"sources file is not valid JSON: {exc}") from None
+    doc = read_json(data, "sources file")
     if not isinstance(doc, list):
         raise ValueError("sources file must be a JSON array")
 
@@ -209,7 +202,7 @@ def _term_from_binding(obj, blanks: _EndpointBlanks) -> Term:
 
 
 def _parse_rows(payload: bytes, blanks: _EndpointBlanks) -> list[tuple[Term, Iri, Term]]:
-    doc = json.loads(payload)
+    doc = read_json(payload, "response")
     rows: list[tuple[Term, Iri, Term]] = []
     for binding in doc["results"]["bindings"]:
         s = _term_from_binding(binding["s"], blanks)
@@ -259,8 +252,7 @@ def _fetch_page(
             continue
         try:
             return _parse_rows(payload, blanks)
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            # json.loads raises RecursionError on deeply nested input.
+        except (KeyError, TypeError, ValueError) as exc:
             last_reason = f"malformed result set: {exc}"
     raise _PageFailure(last_reason)
 
@@ -339,7 +331,7 @@ def _read_json(path: Path):
     """A stored JSON document, or None when it is missing, unreadable or
     torn."""
     try:
-        return json.loads(path.read_bytes())
+        return read_json(path.read_bytes(), str(path))
     except (OSError, ValueError):
         return None
 

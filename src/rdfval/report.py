@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, round_percentage, tally
+from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, read_json, round_percentage, tally
 from .checker import (
     CheckOutcome,
     ENGINE_FAILURE,
@@ -244,7 +243,7 @@ def _read_json(path: Path, parse):
     """``parse`` of a campaign JSON file; a torn or malformed file is an
     error that names it."""
     try:
-        return parse(json.loads(path.read_text(encoding="utf-8")))
+        return parse(read_json(path.read_bytes(), "file"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

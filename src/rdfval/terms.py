@@ -17,7 +17,7 @@ SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # A lone surrogate (D800-DFFF) is no Unicode scalar value and UTF-8 cannot
 # hold it, so neither an IRI nor a lexical form may carry one.
 BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 
@@ -76,7 +76,7 @@ class Literal(Term):
     language: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.lexical.isascii() and _SURROGATE_RE.search(self.lexical):
+        if not self.lexical.isascii() and SURROGATE_RE.search(self.lexical):
             raise ValueError(f"surrogate code point in literal: {self.lexical!r}")
         lang = self.language
         if lang is not None:

@@ -172,12 +172,11 @@ class _TurtleParser:
     # ---- IRI handling -------------------------------------------------------
 
     def _resolve_iri(self, raw: str, tok: _Token) -> Iri:
-        if not SCHEME_RE.match(raw):
-            if self.base is None:
-                raise ParseError(tok.line, tok.column, f"relative IRI without a base: {raw!r}")
-            raw = urljoin(self.base, raw)
-        try:
-            return Iri(raw)
+        relative = not SCHEME_RE.match(raw)
+        if relative and self.base is None:
+            raise ParseError(tok.line, tok.column, f"relative IRI without a base: {raw!r}")
+        try:  # urljoin raises ValueError too, on a bracket in the base's authority
+            return Iri(urljoin(self.base, raw) if relative else raw)
         except ValueError as exc:
             raise ParseError(tok.line, tok.column, str(exc)) from None
 

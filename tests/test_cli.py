@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from mockserver import MockEndpoint
+from rdfval.catalog import CatalogError, load_catalog
 from rdfval.cli import main
 from rdfval.graph import GraphBuilder
 from rdfval.ntriples import parse_ntriples
@@ -39,6 +40,9 @@ def write_nt(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
 
+
+# Beyond any JSON parser's nesting limit (RFC 8259, section 9).
+NESTED = "[" * 100_000 + "]" * 100_000
 
 VIOLATING = [f"<urn:ex:a> {RDF_TYPE_NT} <urn:ex:C> ."]
 CLEAN = VIOLATING + ['<urn:ex:a> <urn:ex:p> "x" .']
@@ -202,6 +206,65 @@ def test_lint_shipped_pack():
     assert all(": not-implemented: " in line for line in lines[:-1])
 
 
+@pytest.mark.parametrize("command", ["validate", "lint", "campaign"])
+def test_a_nested_input_document_exits_two_and_is_named(tmp_path, command):
+    doc = tmp_path / "doc.json"
+    doc.write_text(NESTED, encoding="utf-8")
+    if command == "campaign":
+        args = ["campaign", "--sources", str(doc), "--out", str(tmp_path / "out")]
+        named = "error: sources file is not valid JSON: "
+    else:
+        args = [command, "--catalog", str(doc)]
+        if command == "validate":
+            args += ["--data", write_nt(tmp_path / "data.nt", CLEAN)]
+        named = "<catalog>: catalog is not valid JSON: "
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert named in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "constraint, marker, replacement",
+    [
+        # json.dumps writes the lone surrogate as the escape \ud800.
+        (entry("\ud800"), None, None),
+        (
+            {**entry("V-1"), "family": "MIN-UNQUALIFIED-CARDINALITY",
+             "params": {"class": "urn:ex:C", "property": "urn:ex:p", "bound": "BOUND"}},
+            '"BOUND"',
+            "9" * 5_001,
+        ),
+    ],
+    ids=["lone-surrogate-id", "5001-digit-bound"],
+)
+def test_a_catalog_past_the_json_limits_is_a_named_catalog_problem(tmp_path, constraint, marker, replacement):
+    text = json.dumps({"prefixes": {}, "constraints": [constraint]})
+    if marker is not None:
+        text = text.replace(marker, replacement)
+    with pytest.raises(CatalogError, match="<catalog>: catalog is not valid JSON: "):
+        load_catalog(text)
+    cat = tmp_path / "cat.json"
+    cat.write_text(text, encoding="utf-8")
+    data = write_nt(tmp_path / "data.nt", CLEAN)
+    result = CliRunner().invoke(main, ["validate", "--data", data, "--catalog", str(cat)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: 1 catalog problem(s)\n<catalog>: catalog is not valid JSON: ")
+
+
+def test_an_internal_error_exits_two_with_its_traceback(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("rdfval.cli.check", crash)
+    cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
+    data = write_nt(tmp_path / "data.nt", VIOLATING)
+    result = CliRunner().invoke(main, ["validate", "--data", data, "--catalog", cat])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("Traceback (most recent call last):")
+    assert result.stderr.rstrip().endswith("RuntimeError: boom")
+
+
 def test_lint_catalog_file(tmp_path):
     cat = write_catalog(tmp_path / "cat.json", entry("L-1", status="not-implemented"))
     result = CliRunner().invoke(main, ["lint", "--catalog", cat])
@@ -264,13 +327,16 @@ def test_report_names_a_torn_outcomes_file(tmp_path):
     # JSON that parses but holds the wrong types is named the same way.
     outcomes["outcomes"][0].update(status="violated", count="5")
     cases = [("profile.json", [1, 2]), ("profile.json", {"triples": "12"}), ("outcomes.json", outcomes)]
-    for i, (name, doc) in enumerate(cases):
+    # So is a file nested too deeply to parse.
+    texts = [(name, json.dumps(doc)) for name, doc in cases]
+    texts += [("outcomes.json", NESTED), ("profile.json", NESTED)]
+    for i, (name, text) in enumerate(texts):
         out = tmp_path / f"case-{i}"
         seed_campaign_dir(out)
         malformed = out / "alpha" / name
-        malformed.write_text(json.dumps(doc), encoding="utf-8")
+        malformed.write_text(text, encoding="utf-8")
         result = CliRunner().invoke(main, ["report", "--from", str(out)])
-        assert result.exit_code == 2, (name, doc)
+        assert result.exit_code == 2, (name, text[:40])
         assert result.stderr.startswith(f"error: {malformed}: "), result.stderr
 
 

@@ -475,17 +475,21 @@ def test_campaign_checks_stored_data_when_outcomes_are_missing(tmp_path):
 
 def test_campaign_refetches_a_source_whose_profile_is_torn(tmp_path):
     g = sample_graph()
-    sdir = tmp_path / "src"
-    with mockserver.MockEndpoint(g) as ep:
-        run_campaign([source(ep.url)], tmp_path, **campaign_kw())
-        before = len(ep.requests)
-        (sdir / "profile.json").write_bytes((sdir / "profile.json").read_bytes()[:20])
-        (run,) = run_campaign([source(ep.url)], tmp_path, **campaign_kw())
-        assert len(ep.requests) > before
-    assert run.status == COMPLETE
-    assert not run.from_cache
-    assert json.loads((sdir / "profile.json").read_text())["status"] == COMPLETE
-    assert sorted(p.name for p in sdir.iterdir()) == ["data.nt.gz", "outcomes.json", "profile.json"]
+    # Torn by a crash, or nested too deeply to parse.
+    tears = (lambda stored: stored[:20], lambda stored: b"[" * 100_000 + b"]" * 100_000)
+    for i, tear in enumerate(tears):
+        out = tmp_path / str(i)
+        sdir = out / "src"
+        with mockserver.MockEndpoint(g) as ep:
+            run_campaign([source(ep.url)], out, **campaign_kw())
+            before = len(ep.requests)
+            (sdir / "profile.json").write_bytes(tear((sdir / "profile.json").read_bytes()))
+            (run,) = run_campaign([source(ep.url)], out, **campaign_kw())
+            assert len(ep.requests) > before
+        assert run.status == COMPLETE
+        assert not run.from_cache
+        assert json.loads((sdir / "profile.json").read_text())["status"] == COMPLETE
+        assert sorted(p.name for p in sdir.iterdir()) == ["data.nt.gz", "outcomes.json", "profile.json"]
 
 
 def test_campaign_recomputes_torn_outcomes_without_a_request(tmp_path):

@@ -203,6 +203,8 @@ def test_ntriples_errors_at_first_occurrence(text, line, column, reason):
         ("@prefix ex: <urn:ex:> .\nex:s ex:p 12 .\n", 2, 11, "numeric"),
         ("@prefix ex: <urn:ex:> .\nex:s ex:p ( ex:o ) .\n", 2, 11, "collection"),
         ("ex:s <urn:ex:p> <urn:ex:o> .\n", 1, 1, "undeclared prefix"),
+        # A bracket in the base's authority makes the join itself fail.
+        ("@base <http://ex[ample.org/> .\n<urn:ex:s> <urn:ex:p> <o> .\n", 2, 23, "Invalid IPv6 URL"),
         ("@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
          '<urn:ex:s> <urn:ex:p> "x"@en, "x"^^rdf:langString .\n', 2, 31, "requires a language tag"),
     ],
