@@ -473,18 +473,18 @@ def _load_constraint(
         return None
     vocabulary = obj["vocabulary"]
     if vocabulary not in VOCABULARIES:
-        local.append(f"unknown vocabulary {vocabulary!r}")
+        local.append(f"unknown vocabulary {quoted(vocabulary)}")
     family = FAMILIES.get(obj["family"]) if isinstance(obj["family"], str) else None
     if family is None:
-        local.append(f"unknown family {obj['family']!r}")
+        local.append(f"unknown family {quoted(obj['family'])}")
     try:
         severity = Severity.parse(obj["severity"])
     except (ValueError, TypeError):
-        local.append(f"unknown severity {obj['severity']!r}")
+        local.append(f"unknown severity {quoted(obj['severity'])}")
         severity = Severity.INFO
     status = obj["status"]
     if status not in (IMPLEMENTED, NOT_IMPLEMENTED):
-        local.append(f"unknown status {status!r}")
+        local.append(f"unknown status {quoted(status)}")
     message = obj["message"]
     if not isinstance(message, str):
         local.append("message must be a string")
@@ -501,7 +501,7 @@ def _load_constraint(
     elif isinstance(raw_expr, list) and all(isinstance(t, str) for t in raw_expr):
         unknown = [t for t in raw_expr if t not in EXPRESSIVITY_TAGS]
         if unknown:
-            local.append(f"unknown expressivity tags {unknown!r}")
+            local.append(f"unknown expressivity tags {quoted(unknown)}")
         expressivity = frozenset(raw_expr) or frozenset((SPARQL,))
     else:
         local.append("expressivity must be an array of tag strings")
@@ -537,6 +537,13 @@ def _load_constraint(
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def quoted(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error text, cut to ``limit`` characters and an
+    ellipsis, so that a huge JSON value does not make a huge message."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "…"
 
 
 def read_json(data, what: str):

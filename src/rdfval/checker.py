@@ -468,7 +468,7 @@ def _message_template(c: Constraint) -> str:
 
 
 def _run_constraint(
-    g: Graph, c: Constraint, limit: int | None, budget: float | None
+    g: Graph, c: Constraint, limit: int | None, budget: float | None, records: bool
 ) -> CheckOutcome:
     start = time.monotonic()
     deadline = None if budget is None else start + budget
@@ -508,12 +508,25 @@ def _run_constraint(
             c.id, ENGINE_FAILURE, reason=str(exc), wall_time=time.monotonic() - start
         )
 
+    violations = _records(g, c, built, seen) if records else ()
+    elapsed = time.monotonic() - start
+    if truncated:
+        return CheckOutcome(c.id, TRUNCATED, violations, count=kept, limit=limit, wall_time=elapsed)
+    if kept:
+        return CheckOutcome(c.id, VIOLATED, violations, count=kept, wall_time=elapsed)
+    return CheckOutcome(c.id, OK, wall_time=elapsed)
+
+
+def _records(g: Graph, c: Constraint, built: Plan, seen: dict) -> tuple[Violation, ...]:
+    """The violation records of the kept keys of ``seen``, in report order.
+
+    Each kept violation's focus, path and value are displayed once, for the
+    sort key and the message.  ``seen`` is emptied so that a large outcome
+    is not held twice."""
+    term = g.term
     columns = built.columns
     path_at = columns.index(built.path) if isinstance(built.path, Variable) else None
     value_at = columns.index(built.value) if isinstance(built.value, Variable) else None
-    # Each kept violation's focus, path and value are displayed once, for
-    # the sort key and the message. `ordered` replaces `seen`, which is
-    # emptied so that a large outcome is not held twice.
     ordered = []
     for key, focus in seen.items():
         if focus is None:
@@ -534,16 +547,10 @@ def _run_constraint(
     seen.clear()
     ordered.sort(key=itemgetter(0))
     message = _message_template(c).format
-    violations = tuple(
+    return tuple(
         Violation(c.id, c.severity, focus, path, value, message(t[0], t[2], t[3]))
         for t, focus, path, value in ordered
     )
-    elapsed = time.monotonic() - start
-    if truncated:
-        return CheckOutcome(c.id, TRUNCATED, violations, count=len(violations), limit=limit, wall_time=elapsed)
-    if violations:
-        return CheckOutcome(c.id, VIOLATED, violations, count=len(violations), wall_time=elapsed)
-    return CheckOutcome(c.id, OK, wall_time=elapsed)
 
 
 def check(
@@ -551,12 +558,15 @@ def check(
     catalog: Catalog,
     limit: int | None = DEFAULT_LIMIT,
     budget: float | None = DEFAULT_BUDGET,
+    records: bool = True,
 ) -> list[CheckOutcome]:
     """Run every catalog constraint over the graph, in catalog order.
 
     Outcomes are independent: a failing constraint never aborts the rest.
     `limit` caps violations per constraint (reaching it stops that
     constraint early); `budget` is wall-clock seconds per constraint.
+    With `records=False` the outcomes keep their status, count and limit
+    but no violation records: `violations` is always ``()``.
     """
     if budget is not None and math.isnan(budget):
         raise ValueError("budget must be a number of seconds, not NaN")
@@ -565,7 +575,7 @@ def check(
         if c.status != IMPLEMENTED:
             outcomes.append(CheckOutcome(c.id, NOT_IMPLEMENTED_STATUS))
             continue
-        outcomes.append(_run_constraint(g, c, limit, budget))
+        outcomes.append(_run_constraint(g, c, limit, budget, records))
     return outcomes
 
 

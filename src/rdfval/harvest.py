@@ -147,19 +147,22 @@ def _page_query(page_size: int, offset: int) -> str:
 
 
 class _EndpointBlanks:
-    """One harvest's blank nodes: each endpoint label maps to one node.
+    """One harvest's term scope: each endpoint blank label maps to one node,
+    and each distinct IRI or literal binding to the one term built for it.
 
     A label that is already a legal N-Triples label is kept; any other
     (Virtuoso's ``nodeID://b0``) gets a fresh ``b<n>`` label that no other
     label of the harvest uses.
     """
 
-    __slots__ = ("_map", "_used", "_next")
+    __slots__ = ("_map", "_used", "_next", "terms")
 
     def __init__(self) -> None:
         self._map: dict[str, BlankNode] = {}
         self._used: set[str] = set()
         self._next = 0
+        # An IRI's text, or a literal's (value, xml:lang, datatype).
+        self.terms: dict[str | tuple, Term] = {}
 
     def node(self, label: str) -> BlankNode:
         node = self._map.get(label)
@@ -183,22 +186,43 @@ class _EndpointBlanks:
         return len(self._map)
 
 
+_OPTIONAL_STR = (str, type(None))
+
+
+def _literal(value: str, lang: str | None, datatype: str | None) -> Literal:
+    if lang:
+        return Literal(value, language=lang)
+    if datatype:
+        return Literal(value, Iri(datatype))
+    return Literal(value)
+
+
 def _term_from_binding(obj, blanks: _EndpointBlanks) -> Term:
     kind = obj["type"]
     value = obj["value"]
-    if kind == "uri":
-        return Iri(value)
     if kind == "bnode":
         return blanks.node(value)
-    if kind in ("literal", "typed-literal"):
-        lang = obj.get("xml:lang")
-        if lang:
-            return Literal(value, language=lang)
-        datatype = obj.get("datatype")
-        if datatype:
-            return Literal(value, Iri(datatype))
-        return Literal(value)
-    raise ValueError(f"unknown term type {kind!r}")
+    if kind == "uri":
+        if value.__class__ is not str:
+            return Iri(value)  # raises the TypeError it always has
+        key = value
+    elif kind in ("literal", "typed-literal"):
+        lang, datatype = obj.get("xml:lang"), obj.get("datatype")
+        if not (
+            value.__class__ is str
+            and lang.__class__ in _OPTIONAL_STR
+            and datatype.__class__ in _OPTIONAL_STR
+        ):
+            raise ValueError("literal value, xml:lang and datatype must be strings")
+        key = (value, lang, datatype)
+    else:
+        raise ValueError(f"unknown term type {kind!r}")
+    # Each distinct IRI or literal is built, and so checked, once per
+    # harvest; a binding whose term cannot be built is never stored.
+    term = blanks.terms.get(key)
+    if term is None:
+        term = blanks.terms[key] = Iri(value) if kind == "uri" else _literal(*key)
+    return term
 
 
 def _parse_rows(payload: bytes, blanks: _EndpointBlanks) -> list[tuple[Term, Iri, Term]]:
@@ -385,6 +409,7 @@ def run_campaign(
     old profile and outcomes.  A source committed as complete is not
     fetched again: its stored data is checked with this run's catalog,
     limit and budget, and unreadable data is fetched again.
+    Outcomes keep counts only: their ``violations`` are always ``()``.
     Partial harvests keep their outcomes but flag every result as
     source-incomplete.  A source whose run raises is reported unavailable,
     with the exception as its reason, and the others go on.
@@ -411,10 +436,13 @@ def run_campaign(
 
     def store(source: Source, status: str, graph: Graph | None) -> tuple[CheckOutcome, ...]:
         """Write the source's outcomes.json: the checks of ``graph`` (none
-        without one), flagged source-incomplete for a partial harvest."""
+        without one), flagged source-incomplete for a partial harvest.
+        The file holds counts only, so no violation record is built."""
         outcomes: tuple[CheckOutcome, ...] = ()
         if graph is not None:
-            outcomes = tuple(check(graph, catalogs[source.vocabulary], limit=limit, budget=budget))
+            outcomes = tuple(
+                check(graph, catalogs[source.vocabulary], limit=limit, budget=budget, records=False)
+            )
         if status == PARTIAL:
             outcomes = tuple(mark_source_incomplete(outcomes, parts_missing=1))
         column = SourceOutcomes(source.abbreviation, source.vocabulary, status, outcomes)

@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, read_json, round_percentage, tally
+from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, quoted, read_json, round_percentage, tally
 from .checker import (
     CheckOutcome,
     ENGINE_FAILURE,
@@ -63,13 +63,13 @@ def _field(obj, key: str, types: tuple, *default):
     boolean is no int), or the default when the key is absent and one is
     given; a ValueError otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected an object, found {obj!r}")
+        raise ValueError(f"expected an object, found {quoted(obj)}")
     if key not in obj:
         if default:
             return default[0]
         raise ValueError(f"field {key!r} is missing")
     if type(obj[key]) not in types:
-        raise ValueError(f"field {key!r} is {obj[key]!r}")
+        raise ValueError(f"field {key!r} is {quoted(obj[key])}")
     return obj[key]
 
 
@@ -98,7 +98,7 @@ def parse_outcomes_document(doc) -> SourceOutcomes:
         raise ValueError(f"malformed outcomes document: {exc}") from None
     for o in outcomes:
         if o.status not in _STATUSES:
-            raise ValueError(f"malformed outcomes document: unknown status {o.status!r}")
+            raise ValueError(f"malformed outcomes document: unknown status {quoted(o.status)}")
     return column
 
 

@@ -177,8 +177,16 @@ def test_limited_checks_keep_limit_violations_from_the_oracle_set():
         catalog = family_catalog(drawn)
         wanted = [family_violations(facts, fid, params) for fid, params in drawn]
         unlimited = check(graph, catalog, limit=None, budget=None)
-        for k in (1, 2, 3):
-            limited = check(graph, catalog, limit=k, budget=None)
+        for k in (1, 2, 3, None):
+            limited = unlimited if k is None else check(graph, catalog, limit=k, budget=None)
+            # A count-only check is the records check without its records.
+            counted = check(graph, catalog, limit=k, budget=None, records=False)
+            for (fid, _), outcome, count_only in zip(drawn, limited, counted):
+                assert replace(count_only, wall_time=0.0) == replace(
+                    outcome, violations=(), wall_time=0.0
+                ), (case, fid, k)
+            if k is None:
+                continue
             for (fid, _), want, whole, outcome in zip(drawn, wanted, unlimited, limited):
                 where = (case, fid, k)
                 assert (outcome.status == "truncated") == (len(want) > k), where

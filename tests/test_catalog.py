@@ -191,6 +191,20 @@ def test_every_problem_is_reported_at_once():
     assert len(err.value.problems) == 2
 
 
+def test_problems_quote_a_bounded_part_of_a_huge_value():
+    huge = ["x" * 100] * 5_000
+    with pytest.raises(CatalogError) as err:
+        load_one(
+            entry(
+                vocabulary=huge, family=huge, severity=huge, status=huge, expressivity=huge, message="{focus}"
+            )
+        )
+    problems = problems_of(err)
+    assert len(problems) == 5
+    for problem in problems:
+        assert len(problem) < 300 and problem.endswith("…"), problem[:400]
+
+
 def test_catalog_views():
     cat = load_one(
         entry(vocabulary="QB"),

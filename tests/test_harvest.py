@@ -3,11 +3,13 @@ import gzip
 import json
 import math
 import types
+from dataclasses import replace
 from urllib.parse import urlencode
 
 import pytest
 
 import mockserver
+from rdfval import checker
 from rdfval.catalog import Catalog, FAMILIES, IMPLEMENTED, Severity
 from rdfval.catalog import Constraint
 from rdfval.graph import GraphBuilder
@@ -16,15 +18,17 @@ from rdfval.harvest import (
     PARTIAL,
     UNAVAILABLE,
     Source,
+    _EndpointBlanks,
     _page_query,
+    _parse_rows,
     harvest,
     load_sources,
     profile,
     read_data,
     run_campaign,
 )
-from rdfval.packs import load_fixture
-from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_STRING
+from rdfval.packs import load_fixture, load_pack
+from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER, XSD_STRING
 
 EX = "urn:ex:"
 
@@ -632,3 +636,111 @@ def test_a_lone_surrogate_makes_a_malformed_page(tmp_path):
     assert "surrogate" in bad_run.reason
     assert attempts == 2 and sleeps == [1.0]
     assert good_run.status == COMPLETE
+
+
+def test_campaign_builds_no_violation_records(tmp_path, monkeypatch):
+    built = []
+    record = checker.Violation
+
+    def counted(*args):
+        built.append(args[0])
+        return record(*args)
+
+    monkeypatch.setattr(checker, "Violation", counted)
+    g = load_fixture("study-archive")
+    recorded = checker.check(g, load_pack("ddi-rdf"))
+    assert len(built) == sum(len(o.violations) for o in recorded) > 1000
+    built.clear()
+    with mockserver.MockEndpoint(g) as ep:
+        src = source(ep.url, vocabulary="ddi-rdf", page_size=500)
+        (fetched,) = run_campaign([src], tmp_path, **campaign_kw(catalogs=None))
+        (stored,) = run_campaign([src], tmp_path, **campaign_kw(catalogs=None))
+    assert built == []
+    assert fetched.status == COMPLETE and stored.from_cache
+    # The same statuses and counts as the records check, with no records.
+    want = [replace(o, violations=(), wall_time=0.0) for o in recorded]
+    for run in (fetched, stored):
+        assert [replace(o, wall_time=0.0) for o in run.outcomes] == want
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"value": 5}, {"value": None}, {"value": "x", "xml:lang": 5}, {"value": "x", "datatype": ["a"]}],
+)
+def test_a_literal_field_that_is_no_string_makes_a_malformed_page(tmp_path, monkeypatch, fields):
+    bad = object()
+    plain = mockserver.term_binding
+    monkeypatch.setattr(
+        mockserver, "term_binding", lambda t: {"type": "literal", **fields} if t is bad else plain(t)
+    )
+    g = sample_graph()
+    with mockserver.MockEndpoint(g) as ep:
+        ep.rows = ep.rows[:14] + [types.SimpleNamespace(subject=iri("s"), predicate=iri("p"), object=bad)]
+        (run,) = run_campaign([source(ep.url, page_size=7)], tmp_path, **campaign_kw())
+    # The first two pages are kept; the third is the malformed one.
+    assert run.status == PARTIAL
+    assert (run.pages_fetched, run.triples) == (2, 14)
+    assert run.reason == "malformed result set: literal value, xml:lang and datatype must be strings"
+    assert all(o.status == "source-incomplete" for o in run.outcomes)
+
+
+def page(*rows) -> bytes:
+    bindings = [dict(zip("spo", row)) for row in rows]
+    return json.dumps({"head": {"vars": ["s", "p", "o"]}, "results": {"bindings": bindings}}).encode()
+
+
+def test_repeated_bindings_build_the_terms_they_name():
+    a = {"type": "uri", "value": EX + "a"}
+    lit = {"type": "literal", "value": "x", "xml:lang": "en"}
+    typed = {"type": "typed-literal", "value": "5", "datatype": XSD_INTEGER.text}
+    node = {"type": "bnode", "value": "nodeID://n"}
+    blanks = _EndpointBlanks()
+    first = _parse_rows(page((a, a, a), (node, a, lit), (a, a, node)), blanks)
+    second = _parse_rows(page((node, a, typed), (a, a, lit), (node, a, a)), blanks)
+    A, L, N = iri("a"), Literal("x", language="en"), BlankNode("b0")
+    assert first == [(A, A, A), (N, A, L), (A, A, N)]
+    assert second == [(N, A, Literal("5", XSD_INTEGER)), (A, A, L), (N, A, A)]
+    # One term object per distinct binding, across positions and pages.
+    for term in (A, L, N):
+        assert len({id(t) for row in first + second for t in row if t == term}) == 1
+    # Bindings that share a value and differ in type, tag or datatype stay
+    # distinct terms.
+    alike = [
+        {"type": "literal", "value": EX + "a"},
+        {"type": "literal", "value": "x"},
+        {"type": "literal", "value": "x", "xml:lang": "de"},
+        {"type": "literal", "value": "x", "datatype": XSD_INTEGER.text},
+    ]
+    third = _parse_rows(page(*((a, a, o) for o in alike)), blanks)
+    assert [o for _, _, o in third] == [
+        Literal(EX + "a"), Literal("x"), Literal("x", language="de"), Literal("x", XSD_INTEGER)
+    ]
+
+
+def test_a_uri_binding_ignores_fields_of_any_json_type():
+    plain = {"type": "uri", "value": EX + "a"}
+    warm = _EndpointBlanks()
+    _parse_rows(page((plain, plain, plain)), warm)
+    for extra in ([1, "x"], {"k": None}, 5, 2.5, True, None, "en"):
+        dressed = {**plain, "xml:lang": extra, "datatype": extra, "extra": extra}
+        for blanks in (_EndpointBlanks(), warm):
+            assert _parse_rows(page((dressed, plain, dressed)), blanks) == [(iri("a"),) * 3]
+    # A value that is no string fails as it always has.
+    for value in (5, None, ["x"]):
+        with pytest.raises(TypeError):
+            _parse_rows(page(({"type": "uri", "value": value}, plain, plain)), warm)
+
+
+def test_a_repeated_harvest_across_pages_equals_the_served_graph():
+    A, L = iri("a"), Literal("x", language="en")
+    b = GraphBuilder()
+    for i in range(6):
+        b.add(A, iri(f"p{i}"), L)
+        b.add(BlankNode("n"), A, iri(f"o{i}"))
+        b.add(iri(f"s{i}"), A, BlankNode("n"))
+        b.add(iri(f"s{i}"), iri("p0"), A)
+    g = b.freeze()
+    with mockserver.MockEndpoint(g) as ep:
+        result = harvest(source(ep.url, page_size=5), sleep=no_sleep)
+    assert result.status == COMPLETE and result.pages_fetched == 5
+    assert result.graph == g

@@ -15,6 +15,7 @@ from rdfval.checker import CheckOutcome
 from rdfval.packs import load_pack
 from rdfval.report import (
     SourceOutcomes,
+    _read_json,
     cell_text,
     outcomes_document,
     parse_outcomes_document,
@@ -124,6 +125,18 @@ def test_parse_outcomes_document_defaults_and_validation():
         parse_outcomes_document(
             {"source": "x", "pack": None, "outcomes": [{"constraint-id": "A", "status": "bogus"}]}
         )
+
+
+def test_malformed_outcomes_quote_a_bounded_part_of_a_huge_value(tmp_path):
+    huge = ["x" * 100] * 5_000
+    outcome = {"constraint-id": "A", "status": "ok"}
+    path = tmp_path / "outcomes.json"
+    for outcomes in ([huge], [{**outcome, "count": huge}], [{**outcome, "status": "x" * 500_000}]):
+        path.write_text(json.dumps({"source": "x", "outcomes": outcomes}))
+        with pytest.raises(ValueError) as err:
+            _read_json(path, parse_outcomes_document)
+        message = str(err.value)
+        assert len(message) < 300 and message.endswith("…"), message[:400]
 
 
 def test_matrix_layout():
