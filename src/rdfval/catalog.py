@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .datatypes import SUPPORTED_DATATYPES
-from .terms import Iri, Literal, SCHEME_RE, SURROGATE_RE, Term
+from .terms import Iri, Literal, SCHEME_RE, SURROGATE_RE, Term, quoted
 
 
 class Severity(enum.IntEnum):
@@ -537,13 +537,6 @@ def _load_constraint(
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-
-
-def quoted(value, limit: int = 80) -> str:
-    """``repr(value)`` for an error text, cut to ``limit`` characters and an
-    ellipsis, so that a huge JSON value does not make a huge message."""
-    text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "…"
 
 
 def read_json(data, what: str):

@@ -12,10 +12,10 @@ import math
 import time
 from dataclasses import dataclass, replace
 from operator import itemgetter
+from typing import Iterator
 
 from .catalog import PLACEHOLDER_RE, Catalog, Constraint, IMPLEMENTED, Severity
 from .graph import Graph, GraphBuilder
-from .ntriples import canonical_lines
 from .query import (
     And,
     BudgetExceeded,
@@ -621,8 +621,8 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     are ``_:v0``, ``_:v1``, ... unless a reported blank label starts with
     ``v`` (see ``_report_prefix``).
 
-    ``violations_ntriples`` writes the same triples without building the
-    graph; this is the reference it is tested against."""
+    ``violation_chunks`` writes the same triples without building the
+    graph."""
     b = GraphBuilder()
     prefix = _report_prefix(outcomes)
     n = 0
@@ -641,48 +641,56 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     return b.freeze(name="violations")
 
 
-def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
-    """``serialize_ntriples(violations_to_graph(outcomes))``, written
-    straight from the violation records, with no graph built."""
+# Report nodes per chunk of ``violation_chunks``: about 100 KB of text on
+# the shipped packs' reports, so the file is written in few calls and is
+# never held whole.
+_CHUNK_BLOCKS = 256
+
+
+def violation_chunks(outcomes: list[CheckOutcome]) -> Iterator[bytes]:
+    """``serialize_ntriples(violations_to_graph(outcomes))`` as UTF-8
+    chunks, written straight from the violation records, with no graph
+    built and no sort.
+
+    Every line of violation ``n`` starts with its node's label and a space,
+    labels are distinct, and a space sorts below every digit.  So visiting
+    the violations in the string order of their numbers (``v1`` < ``v10``
+    < ``v2``) and writing each node's lines in predicate order gives the
+    canonical line order."""
+    violations = [v for outcome in outcomes for v in outcome.violations]
     root = f" {term_text(REPORT_ROOT)} "
     path_p = f" {term_text(REPORT_PATH)} "
     value_p = f" {term_text(REPORT_VALUE)} "
     severity_p = f" {term_text(REPORT_SEVERITY)} "
     message_p = f" {term_text(REPORT_MESSAGE)} "
     constraint_p = f" {term_text(REPORT_CONSTRAINT)} "
+    severity_tails = {s: f"{severity_p}{plain_literal_text(s.json_name)} ." for s in Severity}
+    constraint_tails: dict[str, str] = {}
     prefix = f"_:{_report_prefix(outcomes)}"
+    order = sorted(range(len(violations)), key=str)
+    for start in range(0, len(order), _CHUNK_BLOCKS):
+        blocks = []
+        for n in order[start : start + _CHUNK_BLOCKS]:
+            v = violations[n]
+            constraint_tail = constraint_tails.get(v.constraint_id)
+            if constraint_tail is None:
+                constraint_tail = constraint_tails[v.constraint_id] = (
+                    f"{constraint_p}{plain_literal_text(v.constraint_id)} ."
+                )
+            tails = [constraint_tail, f"{message_p}{plain_literal_text(v.message)} ."]
+            if v.path is not None:
+                tails.append(f"{path_p}{term_text(v.path)} .")
+            tails.append(f"{root}{term_text(v.focus)} .")
+            tails.append(severity_tails[v.severity])
+            if v.value is not None:
+                tails.append(f"{value_p}{term_text(v.value)} .")
+            node = f"{prefix}{n}"
+            blocks.append(node + f"\n{node}".join(tails))
+        blocks.append("")  # the chunk's final newline
+        yield "\n".join(blocks).encode("utf-8")
 
-    def blocks():
-        n = 0
-        # The constraint, path and severity lines repeat from one violation
-        # to the next: each is rendered again only when its field is not the
-        # previous violation's object.
-        constraint_id = path = severity = None
-        for outcome in outcomes:
-            for v in outcome.violations:
-                if v.constraint_id is not constraint_id:
-                    constraint_id = v.constraint_id
-                    constraint_tail = f"{constraint_p}{plain_literal_text(constraint_id)} ."
-                tails = [constraint_tail, f"{message_p}{plain_literal_text(v.message)} ."]
-                if v.path is not None:
-                    if v.path is not path:
-                        path = v.path
-                        path_tail = f"{path_p}{term_text(path)} ."
-                    tails.append(path_tail)
-                tails.append(f"{root}{term_text(v.focus)} .")
-                if v.severity is not severity:
-                    severity = v.severity
-                    severity_tail = f"{severity_p}{plain_literal_text(severity.json_name)} ."
-                tails.append(severity_tail)
-                if v.value is not None:
-                    tails.append(f"{value_p}{term_text(v.value)} .")
-                node = f"{prefix}{n}"
-                n += 1
-                yield node + f"\n{node}".join(tails)
 
-    # Each violation is one string, its lines (the node's label before each
-    # tail) in predicate order.  Every line starts with the label and a
-    # space, and labels are distinct, so blocks sort as their lines would,
-    # and canonical_lines holds one string per violation, not six, while it
-    # sorts and joins.
-    return canonical_lines(blocks())
+def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
+    """The bytes of ``violation_chunks(outcomes)``: the canonical N-Triples
+    of ``violations_to_graph(outcomes)``."""
+    return b"".join(violation_chunks(outcomes))

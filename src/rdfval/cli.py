@@ -29,7 +29,7 @@ from .checker import (
     TRUNCATED,
     VIOLATED,
     check,
-    violations_ntriples,
+    violation_chunks,
 )
 from .graph import Graph, GraphBuilder
 from .graphio import load_graph
@@ -210,7 +210,7 @@ def validate(data_paths, catalog_path, pack, limit, budget, fail_on, out_dir) ->
         out.mkdir(parents=True, exist_ok=True)
         column = SourceOutcomes(Path(data_paths[0]).stem, pack_name, "local", tuple(outcomes))
         write_json(out / "outcomes.json", outcomes_document(column))
-        write_atomic(out / "violations.nt", violations_ntriples(outcomes))
+        write_atomic(out / "violations.nt", violation_chunks(outcomes))
         for fmt in ("csv", "md"):
             write_atomic(out / f"matrix.{fmt}", render_matrix(catalog, [column], fmt))
         click.echo(f"report written to {out}")

@@ -17,6 +17,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 from urllib.parse import quote, urlencode
 
 from .catalog import Catalog, read_json
@@ -330,16 +331,21 @@ class SourceRun:
     from_cache: bool = False
 
 
-def write_atomic(path: Path, data: bytes | str) -> None:
+def write_atomic(path: Path, data: bytes | str | Iterable[bytes]) -> None:
     """Replace the file at ``path`` with ``data`` (text is written as
-    UTF-8) through a temporary file in the same directory, so a crash
-    leaves either the old file or the new one, never a torn one."""
+    UTF-8; an iterable of byte chunks is written one chunk at a time)
+    through a temporary file in the same directory, so a crash, or a chunk
+    iterator that raises, leaves either the old file or the new one, never
+    a torn one."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         if isinstance(data, str):
             tmp.write_text(data, encoding="utf-8")
-        else:
+        elif isinstance(data, bytes):
             tmp.write_bytes(data)
+        else:
+            with tmp.open("wb") as f:
+                f.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import Graph, GraphBuilder
-from .terms import BlankNode, Iri, Literal, Triple, XSD_STRING, triple_text
+from .terms import BlankNode, Iri, Literal, Triple, XSD_STRING, term_text, triple_text
 
 
 class ParseError(ValueError):
@@ -223,9 +223,7 @@ def make_literal(
 
 def canonical_lines(lines: Iterable[str]) -> bytes:
     """Canonical N-Triples bytes from triple lines without newlines:
-    unique lines, sorted by code point (which is UTF-8 byte order).  An
-    item may also be a block of newline-joined lines in order, when all its
-    lines compare with every other item's lines as the block does.
+    unique lines, sorted by code point (which is UTF-8 byte order).
 
     The lines are sorted as they arrive, so the runs already in order are
     merged rather than sorted again; repeats are then neighbours."""
@@ -240,5 +238,22 @@ def canonical_lines(lines: Iterable[str]) -> bytes:
 
 
 def serialize_ntriples(g: Graph | Iterable[Triple]) -> bytes:
-    """Canonical N-Triples bytes: sorted unique lines, one triple each."""
+    """Canonical N-Triples bytes: sorted unique lines, one triple each.
+
+    A graph's lines are written from its ids and interned terms, which it
+    checked when they were built."""
+    if isinstance(g, Graph):
+        return canonical_lines(_graph_lines(g))
     return canonical_lines(triple_text(t) for t in g)
+
+
+def _graph_lines(g: Graph) -> Iterator[str]:
+    term = g.term
+    subject = None
+    for s, p, o in g.match_ids(None, None, None):
+        # The rows come in subject order: a subject's text is made once
+        # per run of its triples.
+        if s != subject:
+            subject = s
+            head = f"{term_text(term(s))} "
+        yield f"{head}{term_text(term(p))} {term_text(term(o))} ."

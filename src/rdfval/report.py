@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, quoted, read_json, round_percentage, tally
+from .catalog import CLASSIFICATION_KEYS, Catalog, classify, mean, read_json, round_percentage, tally
 from .checker import (
     CheckOutcome,
     ENGINE_FAILURE,
@@ -21,6 +21,7 @@ from .checker import (
     TRUNCATED,
     VIOLATED,
 )
+from .terms import quoted
 
 _STATUSES = (OK, VIOLATED, TRUNCATED, ENGINE_FAILURE, NOT_IMPLEMENTED_STATUS, SOURCE_INCOMPLETE)
 

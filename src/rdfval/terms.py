@@ -22,6 +22,13 @@ _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 
 
+def quoted(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error text, cut to ``limit`` characters and an
+    ellipsis, so that a huge value does not make a huge message."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 class Term:
     """Base class for Iri, BlankNode, and Literal."""
 
@@ -34,9 +41,9 @@ class Iri(Term):
 
     def __post_init__(self) -> None:
         if not SCHEME_RE.match(self.text):
-            raise ValueError(f"not an absolute IRI (missing scheme): {self.text!r}")
+            raise ValueError(f"not an absolute IRI (missing scheme): {quoted(self.text)}")
         if BAD_IRI_CHARS.search(self.text):
-            raise ValueError(f"forbidden character in IRI: {self.text!r}")
+            raise ValueError(f"forbidden character in IRI: {quoted(self.text)}")
 
     def __repr__(self) -> str:
         return f"Iri({self.text!r})"
@@ -48,7 +55,7 @@ class BlankNode(Term):
 
     def __post_init__(self) -> None:
         if not _BLANK_LABEL_RE.match(self.label):
-            raise ValueError(f"bad blank node label: {self.label!r}")
+            raise ValueError(f"bad blank node label: {quoted(self.label)}")
 
     def __repr__(self) -> str:
         return f"BlankNode({self.label!r})"
@@ -77,11 +84,11 @@ class Literal(Term):
 
     def __post_init__(self) -> None:
         if not self.lexical.isascii() and SURROGATE_RE.search(self.lexical):
-            raise ValueError(f"surrogate code point in literal: {self.lexical!r}")
+            raise ValueError(f"surrogate code point in literal: {quoted(self.lexical)}")
         lang = self.language
         if lang is not None:
             if not _LANG_TAG_RE.match(lang):
-                raise ValueError(f"bad language tag: {lang!r}")
+                raise ValueError(f"bad language tag: {quoted(lang)}")
             object.__setattr__(self, "language", lang.lower())
             # A tagged literal is an rdf:langString; callers may omit the datatype.
             if self.datatype == XSD_STRING:

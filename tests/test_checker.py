@@ -30,6 +30,7 @@ from rdfval.checker import (
     check,
     compile_constraint,
     mark_source_incomplete,
+    violation_chunks,
     violations_ntriples,
     violations_to_graph,
 )
@@ -441,7 +442,9 @@ def test_unlimited_and_unbudgeted_check():
 
 
 def reference_ntriples(outcomes):
-    return serialize_ntriples(violations_to_graph(outcomes))
+    # Through Triple, triple_text and a sort of every line: none of them is
+    # on the path of the streamed writer.
+    return serialize_ntriples(list(violations_to_graph(outcomes)))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -528,7 +531,35 @@ def test_report_nodes_keep_the_v_prefix_without_a_clash():
     assert violations_ntriples(outcomes).startswith(b"_:v0 ")
 
 
+@pytest.mark.parametrize("blank", [False, True])
+def test_streamed_report_is_in_canonical_order_across_label_widths(blank):
+    # 1,350 violations, so labels run from one to four digits, over three
+    # constraints and two severities.  Blank focus nodes labelled v0, v1,
+    # ... push the report nodes to the vv prefix.
+    nodes = [BlankNode(f"v{i}") if blank else iri(f"n{i}") for i in range(450)]
+    g = graph(*[(n, RDF_TYPE, iri(c)) for n in nodes for c in ("C", "D")])
+    catalog = Catalog({}, (
+        constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")}, cid="T-1"),
+        constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("D"), "property": iri("q")}, cid="T-2",
+                   severity=Severity.WARNING),
+        constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("r")}, cid="T-3"),
+    ))
+    outcomes = check(g, catalog, limit=None, budget=None)
+    assert sum(o.count for o in outcomes) == 1350
+    chunks = list(violation_chunks(outcomes))
+    assert len(chunks) > 1
+    got = b"".join(chunks)
+    assert got == reference_ntriples(outcomes) == violations_ntriples(outcomes)
+    lines = got.split(b"\n")
+    assert lines.pop() == b""
+    assert lines == sorted(set(lines))
+    assert len(lines) == 5 * 1350
+    prefix = b"_:vv" if blank else b"_:v"
+    assert lines[0].startswith(prefix + b"0 ") and lines[-1].startswith(prefix + b"999 ")
+
+
 def test_violations_ntriples_of_nothing_is_empty():
     assert violations_ntriples([]) == b""
     assert violations_ntriples([CheckOutcome("T-1", OK)]) == b""
+    assert list(violation_chunks([])) == []
     assert reference_ntriples([]) == b""

@@ -6,13 +6,14 @@ from click.testing import CliRunner
 
 from mockserver import MockEndpoint
 from rdfval.catalog import CatalogError, load_catalog
+from rdfval.checker import CheckOutcome, check, violations_ntriples
 from rdfval.cli import main
 from rdfval.graph import GraphBuilder
+from rdfval.graphio import load_graph
 from rdfval.ntriples import parse_ntriples
 from rdfval.packs import load_pack
 from rdfval.report import SourceOutcomes, outcomes_document
 from rdfval.terms import Iri, Literal, RDF_TYPE
-from rdfval.checker import CheckOutcome
 
 RDF_TYPE_NT = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
 
@@ -170,6 +171,29 @@ def test_validate_writes_report_files(tmp_path):
 
     report = parse_ntriples((out / "violations.nt").read_bytes())
     assert report.count(None, Iri("urn:rdfval:report#root"), None) == 1
+
+
+def test_validate_streams_the_report_the_checker_renders(tmp_path):
+    # 1,350 violations over three constraints and two severities.
+    cat = write_catalog(
+        tmp_path / "cat.json",
+        entry("V-1"),
+        entry("V-2", severity="warning", params={"class": "urn:ex:D", "property": "urn:ex:q"}),
+        entry("V-3", params={"class": "urn:ex:C", "property": "urn:ex:r"}),
+    )
+    data = write_nt(
+        tmp_path / "data.nt",
+        [f"<urn:ex:n{i}> {RDF_TYPE_NT} <urn:ex:{c}> ." for i in range(450) for c in "CD"],
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["validate", "--data", data, "--catalog", cat, "--out", str(out)]
+    )
+    assert result.exit_code == 1, result.output
+    with open(cat, "rb") as f:
+        outcomes = check(load_graph(data), load_catalog(f))
+    assert sum(o.count for o in outcomes) == 1350
+    assert (out / "violations.nt").read_bytes() == violations_ntriples(outcomes)
 
 
 def test_validate_with_shipped_pack(tmp_path):

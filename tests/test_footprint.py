@@ -2,8 +2,8 @@
 campaign needs no HTTP library beyond the standard one), word-array
 indexes with a list fallback, an OSP index built on first use, no
 pipeline compiled past an outermost scan that can match nothing, result
-rows of raw ids rather than Term dicts, and outcome records without a
-per-instance dict."""
+rows of raw ids rather than Term dicts, outcome records without a
+per-instance dict, and a violation report that is never held whole."""
 import itertools
 import json
 import os
@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -18,8 +19,10 @@ import pytest
 
 import rdfval
 from rdfval import graph as graph_module
-from rdfval.checker import check, compile_constraint
+from rdfval.catalog import Severity
+from rdfval.checker import CheckOutcome, Violation, check, compile_constraint, violation_chunks
 from rdfval.graph import Graph, GraphBuilder
+from rdfval.harvest import write_atomic
 from rdfval.packs import FIXTURES, PACKS, load_fixture, load_pack
 from rdfval.query import _Compiler, run_plan
 from rdfval.terms import BlankNode, Iri, Literal, XSD_INTEGER
@@ -207,3 +210,24 @@ def test_outcome_and_violation_records_have_no_instance_dict():
     assert violations
     for record in [*outcomes, *violations]:
         assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_writing_the_violation_report_never_holds_it_whole(tmp_path):
+    message = "m" * 2_000
+    outcomes = [
+        CheckOutcome(cid, "violated", tuple(
+            Violation(cid, severity, Iri(f"urn:ex:{cid}/{i}"), Iri("urn:ex:p"), None, message)
+            for i in range(4_000)
+        ), count=4_000)
+        for cid, severity in (("T-1", Severity.ERROR), ("T-2", Severity.WARNING))
+    ]
+    path = tmp_path / "violations.nt"
+    tracemalloc.start()
+    try:
+        write_atomic(path, violation_chunks(outcomes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 16_000_000
+    assert peak < size / 2, (peak, size)

@@ -26,6 +26,7 @@ from rdfval.harvest import (
     profile,
     read_data,
     run_campaign,
+    write_atomic,
 )
 from rdfval.packs import load_fixture, load_pack
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER, XSD_STRING
@@ -204,6 +205,20 @@ def test_malformed_payload_is_reported():
         result = harvest(source(ep.url), sleep=no_sleep)
     assert result.status == UNAVAILABLE
     assert result.reason.startswith("malformed result set:")
+
+
+def test_a_huge_malformed_iri_makes_a_short_reason(monkeypatch):
+    bad = object()
+    plain = mockserver.term_binding
+    monkeypatch.setattr(
+        mockserver, "term_binding", lambda t: {"type": "uri", "value": "x" * 500_000} if t is bad else plain(t)
+    )
+    with mockserver.MockEndpoint(sample_graph()) as ep:
+        ep.rows = [types.SimpleNamespace(subject=iri("s"), predicate=iri("p"), object=bad)]
+        result = harvest(source(ep.url), sleep=no_sleep)
+    assert result.status == UNAVAILABLE
+    assert result.reason.startswith("malformed result set: not an absolute IRI (missing scheme)")
+    assert len(result.reason) < 300
 
 
 def test_deeply_nested_later_page_is_malformed_and_retried():
@@ -744,3 +759,18 @@ def test_a_repeated_harvest_across_pages_equals_the_served_graph():
         result = harvest(source(ep.url, page_size=5), sleep=no_sleep)
     assert result.status == COMPLETE and result.pages_fetched == 5
     assert result.graph == g
+
+
+def test_write_atomic_writes_chunks_and_keeps_the_old_file_when_they_fail(tmp_path):
+    path = tmp_path / "violations.nt"
+    write_atomic(path, iter([b"a\n", b"", b"b\n"]))
+    assert path.read_bytes() == b"a\nb\n"
+
+    def failing():
+        yield b"c\n"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        write_atomic(path, failing())
+    assert path.read_bytes() == b"a\nb\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["violations.nt"]

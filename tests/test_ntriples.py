@@ -1,5 +1,9 @@
 """Line-oriented parser and canonical serializer."""
+import random
+
 import pytest
+
+from oracles import random_instance_graph, random_serializable_graph
 
 from rdfval.ntriples import ParseError, parse_ntriples, serialize_ntriples
 from rdfval.terms import BlankNode, Iri, Literal, Triple, XSD_INTEGER, triple_text
@@ -114,6 +118,15 @@ def test_triple_serialization_drops_duplicate_lines():
     triples += [Triple(s, Iri(f"urn:ex:\u00fc{i % 3}"), s) for i in range(9)] + triples[::-3]
     expected = "".join(line + "\n" for line in sorted({triple_text(t) for t in triples}))
     assert serialize_ntriples(triples) == expected.encode("utf-8")
+
+
+def test_a_graph_serializes_as_its_triples_do():
+    # A graph is written from its ids and interned terms, a list of triples
+    # through Triple and triple_text: both must give the same bytes.
+    for case in range(300):
+        rng = random.Random(18_000 + case)
+        g = (random_serializable_graph if case % 2 else random_instance_graph)(rng)
+        assert serialize_ntriples(g) == serialize_ntriples(list(g)), case
 
 
 @pytest.mark.parametrize("start", [0x00, 0x20, 0x5B, 0x7E, 0x80, 0x10FF00])

@@ -41,6 +41,19 @@ def test_blank_node_labels():
             BlankNode(bad)
 
 
+def test_error_texts_quote_a_huge_term_in_part():
+    for make in (
+        lambda: Iri("x" * 500_000),
+        lambda: Iri("urn:" + "x" * 500_000 + " "),
+        lambda: BlankNode("!" * 500_000),
+        lambda: Literal("x" * 500_000 + "\ud800"),
+        lambda: Literal("a", language="x" * 100_000),
+    ):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert len(str(exc.value)) < 300
+
+
 def test_literal_defaults_to_string_datatype():
     lit = Literal("hello")
     assert lit.datatype == XSD_STRING
