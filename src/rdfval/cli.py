@@ -152,7 +152,7 @@ def main() -> None:
     multiple=True,
     required=True,
     type=click.Path(exists=True, dir_okay=False),
-    help="N-Triples file (optionally gzipped); repeat to merge files.",
+    help="N-Triples (.nt) or Turtle (.ttl) file, optionally gzipped (.gz); repeat to merge files.",
 )
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--pack", type=click.Choice(PACKS))

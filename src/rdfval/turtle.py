@@ -7,15 +7,27 @@ literals with language tags or datatypes. Everything else in full Turtle
 (collections, numeric/boolean shorthand, triple-quoted strings, SPARQL-style
 directives, quoted triples) raises UnsupportedFeature rather than parsing
 wrongly.
+
+One ``findall`` of ``_TOKEN_RE`` splits the whole text into tokens in C; a
+token's kind follows from its text. No positions are kept: an error re-scans
+the text up to the failing token for its line and column, and a refused
+token is an error before any grammar error. The grammar walks the tokens
+with an index and keeps open ``[ ]`` lists on an explicit stack, so nesting
+depth is bounded by memory alone. Each IRI or prefixed name spelling (until
+the next directive), blank label and literal spelling becomes a term once.
+Term ids follow the order in which triples are added, so the triples inside
+a bracketed object take ids before the triple that holds it.
 """
 from __future__ import annotations
 
 import re
+from itertools import islice
+from operator import itemgetter
 from urllib.parse import urljoin
 
 from .graph import Graph, GraphBuilder
-from .ntriples import ParseError, decode_utf8, make_literal, unescape_string
-from .terms import BlankNode, Iri, Literal, RDF_TYPE, SCHEME_RE, Term
+from .ntriples import ParseError, decode_utf8, unescape_string
+from .terms import BlankNode, Iri, Literal, RDF_TYPE, SCHEME_RE, XSD_STRING, Term
 
 
 class UnsupportedFeature(ParseError):
@@ -26,311 +38,299 @@ class UnsupportedFeature(ParseError):
         self.feature = feature
 
 
-# Leading whitespace, then one optional alternation, tried in this priority
-# order; the first alternative that matches names the token. A triple-quoted
-# string comes first because STRING would take its first two quotes. Other
-# unsupported forms cannot start any token, so they surface where nothing
-# but whitespace matches (``_reject``).
+# Whitespace and comments, then at most one token, in one of three groups: a
+# directive, a token of the subset or a refused token. The last alternative
+# takes any other character, so the matches cover the text and only the
+# final ones are empty. A local name may not start with "." or "-" nor end
+# with "."; a run of dots is taken whole, which keeps long runs linear.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:"
-    + "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in [
-            ("TRIPLE_QUOTED", r'"""'),
-            ("COMMENT", r"#[^\n]*"),
-            ("PREFIX_DIR", r"@prefix\b"),
-            ("BASE_DIR", r"@base\b"),
-            ("IRIREF", r"<[^\x00-\x20<>\"{}|^`\\]*>"),
-            ("BLANK", r"_:[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
-            ("STRING", r'"(?:[^"\\\n\r]|\\.)*"'),
-            ("LANGTAG", r"@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*"),
-            ("DTSEP", r"\^\^"),
-            ("PNAME", r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_\-.]))*"),
-            ("A", r"a(?![A-Za-z0-9_])"),
-            ("DOT", r"\."),
-            ("SEMI", r";"),
-            ("COMMA", r","),
-            ("LBRACKET", r"\["),
-            ("RBRACKET", r"\]"),
-            ("LPAREN", r"\("),
-            ("WORD", r"[A-Za-z][A-Za-z0-9_]*"),
-        ]
-    )
-    + ")?"
+    r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+(?:(@prefix\b|@base\b)|("
+    r"<[^\x00-\x20<>\"{}|^`\\]*>"
+    r"|_:[A-Za-z0-9_][A-Za-z0-9_.\-]*"
+    r'|"(?!"")(?:[^"\\\n\r]|\\.)*"'
+    r"|@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*"
+    r"|\^\^"
+    r"|(?:[A-Za-z][A-Za-z0-9_\-]*+)?+:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*+(?:\.++[A-Za-z0-9_\-]++)*+)?+"
+    r"|a(?![A-Za-z0-9_])"
+    r"|[.;,\[\]]"
+    r')|("""|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]))?'
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: str, value: str, line: int, column: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+def _offset(text: str, k: int) -> int:
+    """Where token ``k`` starts; past the last token, the end of the text."""
+    m = next(islice(_TOKEN_RE.finditer(text), k, None))
+    return m.start(m.lastindex) if m.lastindex else m.end()
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = match(text, pos)
-        kind = m.lastgroup
-        end = m.end()
-        # Only the leading whitespace can hold newlines.
-        start = end if kind is None else m.start(kind)
-        if start != pos:
-            newlines = text.count("\n", pos, start)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, start) + 1
-        col = start - line_start + 1
-        if kind is None:
-            if end < n:
-                _reject(text, end, line, col)
-        elif kind == "COMMENT":
-            pass
-        elif kind == "WORD":
-            word = m.group(kind)
-            if word.upper() in ("PREFIX", "BASE"):
-                raise UnsupportedFeature(line, col, "SPARQL-style directive")
-            if word in ("true", "false"):
-                raise UnsupportedFeature(line, col, "boolean literal shorthand")
-            raise ParseError(line, col, f"unexpected word {word!r}")
-        elif kind == "LPAREN":
-            raise UnsupportedFeature(line, col, "collection")
-        elif kind == "TRIPLE_QUOTED":
-            raise UnsupportedFeature(line, col, "triple-quoted string")
+def _error_at(text: str, offset: int, reason: str, cls: type[ParseError] = ParseError) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return cls(line, offset - text.rfind("\n", 0, offset), reason)
+
+
+def _refusal(text: str, k: int, token: str) -> ParseError:
+    """The error for refused token ``k``."""
+    pos = _offset(text, k)
+    nxt = text[pos + 1 : pos + 2]
+    if token == '"""' or text.startswith("'''", pos):
+        feature = "triple-quoted string"
+    elif token[0].isascii() and token[0].isalpha():
+        if token.upper() in ("PREFIX", "BASE"):
+            feature = "SPARQL-style directive"
+        elif token in ("true", "false"):
+            feature = "boolean literal shorthand"
         else:
-            append(_Token(kind, m.group(kind), line, col))
-        pos = end
-    tokens.append(_Token("EOF", "", line, n - line_start + 1))
-    return tokens
+            return _error_at(text, pos, f"unexpected word {token!r}")
+    elif token == "(":
+        feature = "collection"
+    elif token == "<" and nxt == "<":
+        feature = "quoted triple"
+    elif token == "'":
+        feature = "single-quoted string"
+    elif token.isdigit() or (token in "+-" and (nxt.isdigit() or nxt == ".")):
+        feature = "numeric literal shorthand"
+    else:
+        return _error_at(text, pos, f"unexpected character {token!r}")
+    return _error_at(text, pos, feature, UnsupportedFeature)
 
 
-def _reject(text: str, pos: int, line: int, col: int) -> None:
-    """Raise the error for a position where no token starts."""
-    ch = text[pos]
-    if text.startswith("'''", pos):
-        raise UnsupportedFeature(line, col, "triple-quoted string")
-    if text.startswith("<<", pos):
-        raise UnsupportedFeature(line, col, "quoted triple")
-    if ch == "'":
-        raise UnsupportedFeature(line, col, "single-quoted string")
-    if ch.isdigit() or (ch in "+-" and pos + 1 < len(text) and (text[pos + 1].isdigit() or text[pos + 1] == ".")):
-        raise UnsupportedFeature(line, col, "numeric literal shorthand")
-    raise ParseError(line, col, f"unexpected character {ch!r}")
+_OBJECT, _VERB, _END = range(3)  # what a statement reads next
 
 
-class _TurtleParser:
+class _Reader:
+    """One document's tokens, the directives in force and the term memos.
+
+    Terms are numbered in the order they are first seen, and the memos map
+    each spelling to its term's number. Triples are kept as numbers until
+    the end of the input, then the terms are interned in the order their
+    triples were added."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.text = text
+        tokens = self.tokens = _TOKEN_RE.findall(text)
+        if any(map(itemgetter(2), tokens)):
+            k = next(k for k, tok in enumerate(tokens) if tok[2])
+            raise _refusal(text, k, tokens[k][2])
+        self.texts = list(map(itemgetter(1), tokens))
         self.base: str | None = None
         self.prefixes: dict[str, str] = {}
-        self.builder = GraphBuilder()
-        # IRIREF/PNAME token text -> its checked IRI, valid until the next
-        # directive. Ids are assigned when a triple is added, as a
-        # bracketed object adds its own triples before the outer one.
-        self._iris: dict[str, Iri] = {}
-        self._blank_count = 0
-        self._blank_map: dict[str, BlankNode] = {}
+        self.terms: list[Term] = [RDF_TYPE]  # the keyword "a" is number 0
+        # IRIs and literals are dropped at each directive, since a prefixed
+        # name or a relative IRI may then mean another IRI.
+        self.iris: dict[str, int] = {}
+        self.literals: dict[str | tuple[str, ...], int] = {}
+        self.blanks: dict[str, int] = {}
+        self.blank_count = 0
 
-    # ---- token helpers ------------------------------------------------------
+    def error(self, k: int, reason: str, shift: int = 0) -> ParseError:
+        """A ParseError at token ``k``, or ``shift`` characters into it."""
+        return _error_at(self.text, _offset(self.text, k) + shift, reason)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def number(self, term: Term) -> int:
+        self.terms.append(term)
+        return len(self.terms) - 1
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def fresh_blank(self) -> int:
+        self.blank_count += 1
+        return self.number(BlankNode(f"b{self.blank_count - 1}"))
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.column, f"expected {what}")
-        return tok
+    def labeled_blank(self, t: str) -> int:
+        n = self.blanks.get(t)
+        if n is None:
+            n = self.blanks[t] = self.fresh_blank()
+        return n
 
-    def _fresh_blank(self) -> BlankNode:
-        node = BlankNode(f"b{self._blank_count}")
-        self._blank_count += 1
-        return node
-
-    def _labeled_blank(self, label: str) -> BlankNode:
-        node = self._blank_map.get(label)
-        if node is None:
-            node = self._fresh_blank()
-            self._blank_map[label] = node
-        return node
-
-    # ---- IRI handling -------------------------------------------------------
-
-    def _resolve_iri(self, raw: str, tok: _Token) -> Iri:
+    def resolve(self, raw: str, k: int) -> Iri:
         relative = not SCHEME_RE.match(raw)
         if relative and self.base is None:
-            raise ParseError(tok.line, tok.column, f"relative IRI without a base: {raw!r}")
+            raise self.error(k, f"relative IRI without a base: {raw!r}")
         try:  # urljoin raises ValueError too, on a bracket in the base's authority
             return Iri(urljoin(self.base, raw) if relative else raw)
         except ValueError as exc:
-            raise ParseError(tok.line, tok.column, str(exc)) from None
+            raise self.error(k, str(exc)) from None
 
-    def _iri(self, tok: _Token) -> Iri:
-        """The IRI an IRIREF or PNAME token stands for."""
-        iri = self._iris.get(tok.value)
-        if iri is None:
-            if tok.kind == "IRIREF":
-                iri = self._resolve_iri(tok.value[1:-1], tok)
+    def iri(self, k: int, expected: str) -> int:
+        """The IRI that the IRIREF or prefixed name at ``k`` stands for."""
+        t = self.texts[k]
+        n = self.iris.get(t)
+        if n is None:
+            if t[:1] == "<":
+                iri = self.resolve(t[1:-1], k)
+            elif ":" in t and t[0] not in '_"':
+                prefix, _, local = t.partition(":")
+                ns = self.prefixes.get(prefix)
+                if ns is None:
+                    raise self.error(k, f"undeclared prefix {prefix + ':'!r}")
+                try:
+                    iri = Iri(ns + local)
+                except ValueError as exc:
+                    raise self.error(k, str(exc)) from None
             else:
-                iri = self._expand_pname(tok)
-            self._iris[tok.value] = iri
-        return iri
+                raise self.error(k, f"expected {expected}")
+            n = self.iris[t] = self.number(iri)
+        return n
 
-    def _expand_pname(self, tok: _Token) -> Iri:
-        m = re.match(r"^([A-Za-z][A-Za-z0-9_\-]*)?:(.*)$", tok.value)
-        prefix = m.group(1) or ""
-        local = m.group(2)
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            raise ParseError(tok.line, tok.column, f"undeclared prefix {prefix + ':'!r}")
-        try:
-            return Iri(ns + local)
-        except ValueError as exc:
-            raise ParseError(tok.line, tok.column, str(exc)) from None
+    def literal(self, k: int) -> tuple[int, int]:
+        """The literal whose string token is at ``k``, and its last token."""
+        texts = self.texts
+        t, suffix = texts[k], texts[k + 1]
+        if suffix[:1] == "@":
+            key, end = (t, suffix), k + 1
+        elif suffix == "^^":
+            key, end = (t, suffix, texts[k + 2]), k + 2
+        else:
+            key, end = t, k
+        n = self.literals.get(key)
+        if n is None:
+            try:
+                lexical = unescape_string(t[1:-1], 0, 0)
+            except ParseError as exc:
+                raise self.error(k, exc.reason, 1 + exc.column) from None
+            language = datatype = None
+            if suffix[:1] == "@":
+                language = suffix[1:]
+            elif suffix == "^^":
+                datatype = self.terms[self.iri(k + 2, "datatype IRI")]
+            try:
+                lit = Literal(lexical, datatype or XSD_STRING, language)
+            except ValueError as exc:
+                raise self.error(k, str(exc)) from None
+            n = self.literals[key] = self.number(lit)
+        return n, end
 
-    # ---- grammar ------------------------------------------------------------
+    def directive(self, k: int) -> int:
+        """Apply the directive at ``k``; the index after it."""
+        texts = self.texts
+        prefix = None
+        if self.tokens[k][0] == "@prefix":
+            k += 1
+            pname = texts[k]
+            if ":" not in pname or pname[0] in '<_"':
+                raise self.error(k, "expected prefix name")
+            if not pname.endswith(":"):
+                raise self.error(k, "expected prefix declaration")
+            prefix = pname[:-1]
+        if texts[k + 1][:1] != "<":
+            raise self.error(k + 1, "expected IRI")
+        if texts[k + 2] != ".":
+            raise self.error(k + 2, "expected '.'")
+        value = self.resolve(texts[k + 1][1:-1], k + 1).text
+        if prefix is None:
+            self.base = value
+        else:
+            self.prefixes[prefix] = value
+        self.iris.clear()
+        self.literals.clear()
+        return k + 3
 
-    def parse(self) -> None:
+    def read(self) -> tuple[list[int], list[Term]]:
+        """The document's triples as term numbers, three per triple, and its
+        terms by number."""
+        texts, tokens, iris = self.texts, self.tokens, self.iris
+        triples: list[int] = []
+        # One entry per open "[": the subject and predicate whose object it
+        # is (None for a statement's subject), its node, the index of "[".
+        stack: list[tuple] = []
+        i = 0
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "PREFIX_DIR":
-                self.next()
-                pname = self.expect("PNAME", "prefix name")
-                if not pname.value.endswith(":") or ":" in pname.value[:-1]:
-                    raise ParseError(pname.line, pname.column, "expected prefix declaration")
-                iritok = self.expect("IRIREF", "IRI")
-                self.expect("DOT", "'.'")
-                prefix = pname.value[:-1]
-                self.prefixes[prefix] = self._resolve_iri(iritok.value[1:-1], iritok).text
-                self._iris.clear()
-            elif tok.kind == "BASE_DIR":
-                self.next()
-                iritok = self.expect("IRIREF", "IRI")
-                self.expect("DOT", "'.'")
-                self.base = self._resolve_iri(iritok.value[1:-1], iritok).text
-                self._iris.clear()
+            t = texts[i]
+            if not t:
+                if not tokens[i][0]:
+                    return triples, self.terms  # the end of the input
+                i = self.directive(i)
+                continue
+            # A statement: its subject, then predicates and objects, until
+            # the next step is the closing ".".
+            step = _VERB
+            if t == "[":
+                subject = self.fresh_blank()
+                i += 1
+                if texts[i] != "]":
+                    stack.append((None, None, subject, i - 1))
+                else:
+                    i += 1
+                    if texts[i] == ".":  # a lone "[ ]"
+                        step = _END
             else:
-                self._triples()
-                self.expect("DOT", "'.'")
-
-    def _triples(self) -> None:
-        tok = self.peek()
-        if tok.kind == "LBRACKET":
-            subject = self._blank_property_list()
-            # A bare "[ ... ] ." statement is legal; further predicates optional.
-            if self.peek().kind != "DOT":
-                self._predicate_object_list(subject)
-            return
-        subject = self._subject()
-        self._predicate_object_list(subject)
-
-    def _subject(self) -> Term:
-        tok = self.next()
-        if tok.kind == "IRIREF" or tok.kind == "PNAME":
-            return self._iri(tok)
-        if tok.kind == "BLANK":
-            return self._labeled_blank(tok.value[2:])
-        raise ParseError(tok.line, tok.column, "expected subject")
-
-    def _predicate_object_list(self, subject: Term) -> None:
-        while True:
-            predicate = self._verb()
-            self._object_list(subject, predicate)
-            if self.peek().kind == "SEMI":
-                # Consume runs of semicolons; a trailing one ends the list.
-                while self.peek().kind == "SEMI":
-                    self.next()
-                nxt = self.peek().kind
-                if nxt in ("DOT", "RBRACKET", "EOF"):
-                    return
-                continue
-            return
-
-    def _verb(self) -> Iri:
-        tok = self.next()
-        if tok.kind == "A":
-            return RDF_TYPE
-        if tok.kind == "IRIREF" or tok.kind == "PNAME":
-            return self._iri(tok)
-        raise ParseError(tok.line, tok.column, "expected predicate")
-
-    def _object_list(self, subject: Term, predicate: Iri) -> None:
-        intern = self.builder.intern
-        while True:
-            obj = self._object()
-            self.builder.add_ids(intern(subject), intern(predicate), intern(obj))
-            if self.peek().kind == "COMMA":
-                self.next()
-                continue
-            return
-
-    def _object(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "LBRACKET":
-            return self._blank_property_list()
-        self.next()
-        if tok.kind == "IRIREF" or tok.kind == "PNAME":
-            return self._iri(tok)
-        if tok.kind == "BLANK":
-            return self._labeled_blank(tok.value[2:])
-        if tok.kind == "STRING":
-            return self._literal(tok)
-        raise ParseError(tok.line, tok.column, "expected object")
-
-    def _literal(self, tok: _Token) -> Literal:
-        raw = tok.value[1:-1]
-        lexical = unescape_string(raw, tok.line, tok.column + 1)
-        language = datatype = None
-        nxt = self.peek()
-        if nxt.kind == "LANGTAG":
-            self.next()
-            language = nxt.value[1:]
-        elif nxt.kind == "DTSEP":
-            self.next()
-            dtok = self.next()
-            if dtok.kind != "IRIREF" and dtok.kind != "PNAME":
-                raise ParseError(dtok.line, dtok.column, "expected datatype IRI")
-            datatype = self._iri(dtok)
-        return make_literal(lexical, language, datatype, tok.line, tok.column)
-
-    def _blank_property_list(self) -> BlankNode:
-        open_tok = self.expect("LBRACKET", "'['")
-        node = self._fresh_blank()
-        if self.peek().kind == "RBRACKET":
-            self.next()
-            return node
-        self._predicate_object_list(node)
-        closing = self.next()
-        if closing.kind != "RBRACKET":
-            raise ParseError(open_tok.line, open_tok.column, "unclosed '['")
-        return node
+                subject = iris.get(t)
+                if subject is None:
+                    subject = self.labeled_blank(t) if t[0] == "_" else self.iri(i, "subject")
+                i += 1
+            while step == _VERB:
+                t = texts[i]
+                predicate = 0 if t == "a" else iris.get(t)
+                if predicate is None:
+                    predicate = self.iri(i, "predicate")
+                i += 1
+                step = _OBJECT
+                while step == _OBJECT:
+                    t = texts[i]
+                    obj = iris.get(t)
+                    if obj is None:
+                        if t[:1] == '"':
+                            obj, i = self.literal(i)
+                        elif t == "[":
+                            obj = self.fresh_blank()
+                            if texts[i + 1] != "]":
+                                # The bracket's own triples come first.
+                                stack.append((subject, predicate, obj, i))
+                                subject = obj
+                                i += 1
+                                step = _VERB
+                                break
+                            i += 1
+                        elif t[:1] == "_":
+                            obj = self.labeled_blank(t)
+                        else:
+                            obj = self.iri(i, "object")
+                    i += 1
+                    triples += (subject, predicate, obj)
+                    # After an object: another object, another predicate, or
+                    # the end of a list, which may close brackets.
+                    while True:
+                        t = texts[i]
+                        if t == ",":
+                            i += 1
+                            break
+                        if t == ";":
+                            i += 1
+                            while texts[i] == ";":
+                                i += 1
+                            t = texts[i]
+                            if t != "." and t != "]" and (t or tokens[i][0]):
+                                step = _VERB
+                                break
+                        if not stack:
+                            step = _END
+                            break
+                        subject_of, predicate_of, node, opened = stack.pop()
+                        if t != "]":
+                            raise self.error(opened, "unclosed '['")
+                        i += 1
+                        if subject_of is None:  # a statement's "[ ]" subject
+                            subject = node
+                            step = _END if texts[i] == "." else _VERB
+                            break
+                        subject, predicate = subject_of, predicate_of
+                        triples += (subject, predicate, node)
+            if texts[i] != ".":
+                raise self.error(i, "expected '.'")
+            i += 1
 
 
 def parse_turtle_subset(data: bytes | str, name: str | None = None) -> Graph:
     """Parse the supported Turtle subset into a frozen Graph."""
     text = decode_utf8(data)
     del data  # frees input bytes the caller passed without keeping
-    parser = _TurtleParser(text)
+    # The reader, its tokens and its memos are gone once read returns.
+    triples, terms = _Reader(text).read()
     del text
-    parser.parse()
-    builder = parser.builder
-    # The tokens and the memo are gone before the indexes are built.
-    del parser
+    builder = GraphBuilder()
+    ids = [0] * len(terms)
+    for n in dict.fromkeys(triples):  # in the order the triples were added
+        ids[n] = builder.intern(terms[n])
+    numbers = map(ids.__getitem__, triples)
+    for s, p, o in zip(numbers, numbers, numbers):
+        builder.add_ids(s, p, o)
+    del triples, terms, ids, numbers
     return builder.freeze(name=name)

@@ -148,6 +148,20 @@ def test_validate_merges_files_with_scoped_blank_nodes(tmp_path):
     assert result.output.splitlines()[0] == "V-1  violated  2"
 
 
+def test_validate_reads_turtle_nested_past_the_recursion_limit(tmp_path):
+    depth = 10_000
+    data = tmp_path / "deep.ttl"
+    data.write_text(
+        "@prefix ex: <urn:ex:> .\nex:a a ex:C ; ex:q " + "[ ex:q " * depth + '"x"' + " ]" * depth + " .\n",
+        encoding="utf-8",
+    )
+    cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["validate", "--data", str(data), "--catalog", cat, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[0] == "V-1  violated  1"
+
+
 def test_validate_writes_report_files(tmp_path):
     cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
     data = write_nt(tmp_path / "survey-a.nt", VIOLATING)
