@@ -26,8 +26,8 @@ from operator import itemgetter
 from urllib.parse import urljoin
 
 from .graph import Graph, GraphBuilder
-from .ntriples import ParseError, decode_utf8, unescape_string
-from .terms import BlankNode, Iri, Literal, RDF_TYPE, SCHEME_RE, XSD_STRING, Term
+from .ntriples import ParseError, decode_utf8, make_literal, unescape_string
+from .terms import BlankNode, Iri, Literal, RDF_TYPE, SCHEME_RE
 
 
 class UnsupportedFeature(ParseError):
@@ -41,19 +41,25 @@ class UnsupportedFeature(ParseError):
 # Whitespace and comments, then at most one token, in one of three groups: a
 # directive, a token of the subset or a refused token. The last alternative
 # takes any other character, so the matches cover the text and only the
-# final ones are empty. A local name may not start with "." or "-" nor end
-# with "."; a run of dots is taken whole, which keeps long runs linear.
+# final ones are empty. Only the first refused token is reported, so its
+# match takes the rest of the text: a failed scan, such as the prefix part
+# of a name that turns out to have no ":", is then never repeated from each
+# later character. A local name may not start with "." or "-" nor end with
+# "."; its dot runs are scanned once each, so long runs stay linear. A name
+# with and one without a prefix are two alternatives, which match faster
+# than one with an optional prefix.
+_LOCAL = r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*)?"
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+(?:(@prefix\b|@base\b)|("
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:(@prefix\b|@base\b)|("
     r"<[^\x00-\x20<>\"{}|^`\\]*>"
     r"|_:[A-Za-z0-9_][A-Za-z0-9_.\-]*"
     r'|"(?!"")(?:[^"\\\n\r]|\\.)*"'
     r"|@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*"
     r"|\^\^"
-    r"|(?:[A-Za-z][A-Za-z0-9_\-]*+)?+:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*+(?:\.++[A-Za-z0-9_\-]++)*+)?+"
+    rf"|[A-Za-z][A-Za-z0-9_\-]*:{_LOCAL}|:{_LOCAL}"
     r"|a(?![A-Za-z0-9_])"
     r"|[.;,\[\]]"
-    r')|("""|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]))?'
+    r')|("""|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n])[\s\S]*)?'
 )
 
 
@@ -98,47 +104,41 @@ _OBJECT, _VERB, _END = range(3)  # what a statement reads next
 
 
 class _Reader:
-    """One document's tokens, the directives in force and the term memos.
-
-    Terms are numbered in the order they are first seen, and the memos map
-    each spelling to its term's number. Triples are kept as numbers until
-    the end of the input, then the terms are interned in the order their
-    triples were added."""
+    """One document's tokens, the directives in force and the term memos,
+    which map each spelling to its term."""
 
     def __init__(self, text: str):
         self.text = text
-        tokens = self.tokens = _TOKEN_RE.findall(text)
+        tokens = _TOKEN_RE.findall(text)
         if any(map(itemgetter(2), tokens)):
             k = next(k for k, tok in enumerate(tokens) if tok[2])
             raise _refusal(text, k, tokens[k][2])
+        # Two columns are kept, and the tuples, most of the tokens' memory,
+        # are freed before any triple is added.
+        self.directives = list(map(itemgetter(0), tokens))
         self.texts = list(map(itemgetter(1), tokens))
         self.base: str | None = None
         self.prefixes: dict[str, str] = {}
-        self.terms: list[Term] = [RDF_TYPE]  # the keyword "a" is number 0
         # IRIs and literals are dropped at each directive, since a prefixed
         # name or a relative IRI may then mean another IRI.
-        self.iris: dict[str, int] = {}
-        self.literals: dict[str | tuple[str, ...], int] = {}
-        self.blanks: dict[str, int] = {}
+        self.iris: dict[str, Iri] = {}
+        self.literals: dict[str | tuple[str, ...], Literal] = {}
+        self.blanks: dict[str, BlankNode] = {}
         self.blank_count = 0
 
     def error(self, k: int, reason: str, shift: int = 0) -> ParseError:
         """A ParseError at token ``k``, or ``shift`` characters into it."""
         return _error_at(self.text, _offset(self.text, k) + shift, reason)
 
-    def number(self, term: Term) -> int:
-        self.terms.append(term)
-        return len(self.terms) - 1
-
-    def fresh_blank(self) -> int:
+    def fresh_blank(self) -> BlankNode:
         self.blank_count += 1
-        return self.number(BlankNode(f"b{self.blank_count - 1}"))
+        return BlankNode(f"b{self.blank_count - 1}")
 
-    def labeled_blank(self, t: str) -> int:
-        n = self.blanks.get(t)
-        if n is None:
-            n = self.blanks[t] = self.fresh_blank()
-        return n
+    def labeled_blank(self, t: str) -> BlankNode:
+        node = self.blanks.get(t)
+        if node is None:
+            node = self.blanks[t] = self.fresh_blank()
+        return node
 
     def resolve(self, raw: str, k: int) -> Iri:
         relative = not SCHEME_RE.match(raw)
@@ -149,11 +149,11 @@ class _Reader:
         except ValueError as exc:
             raise self.error(k, str(exc)) from None
 
-    def iri(self, k: int, expected: str) -> int:
+    def iri(self, k: int, expected: str) -> Iri:
         """The IRI that the IRIREF or prefixed name at ``k`` stands for."""
         t = self.texts[k]
-        n = self.iris.get(t)
-        if n is None:
+        iri = self.iris.get(t)
+        if iri is None:
             if t[:1] == "<":
                 iri = self.resolve(t[1:-1], k)
             elif ":" in t and t[0] not in '_"':
@@ -167,10 +167,10 @@ class _Reader:
                     raise self.error(k, str(exc)) from None
             else:
                 raise self.error(k, f"expected {expected}")
-            n = self.iris[t] = self.number(iri)
-        return n
+            self.iris[t] = iri
+        return iri
 
-    def literal(self, k: int) -> tuple[int, int]:
+    def literal(self, k: int) -> tuple[Literal, int]:
         """The literal whose string token is at ``k``, and its last token."""
         texts = self.texts
         t, suffix = texts[k], texts[k + 1]
@@ -180,8 +180,8 @@ class _Reader:
             key, end = (t, suffix, texts[k + 2]), k + 2
         else:
             key, end = t, k
-        n = self.literals.get(key)
-        if n is None:
+        lit = self.literals.get(key)
+        if lit is None:
             try:
                 lexical = unescape_string(t[1:-1], 0, 0)
             except ParseError as exc:
@@ -190,19 +190,19 @@ class _Reader:
             if suffix[:1] == "@":
                 language = suffix[1:]
             elif suffix == "^^":
-                datatype = self.terms[self.iri(k + 2, "datatype IRI")]
+                datatype = self.iri(k + 2, "datatype IRI")
             try:
-                lit = Literal(lexical, datatype or XSD_STRING, language)
-            except ValueError as exc:
-                raise self.error(k, str(exc)) from None
-            n = self.literals[key] = self.number(lit)
-        return n, end
+                lit = make_literal(lexical, language, datatype, 0, 0)
+            except ParseError as exc:
+                raise self.error(k, exc.reason) from None
+            self.literals[key] = lit
+        return lit, end
 
     def directive(self, k: int) -> int:
         """Apply the directive at ``k``; the index after it."""
         texts = self.texts
         prefix = None
-        if self.tokens[k][0] == "@prefix":
+        if self.directives[k] == "@prefix":
             k += 1
             pname = texts[k]
             if ":" not in pname or pname[0] in '<_"':
@@ -223,11 +223,11 @@ class _Reader:
         self.literals.clear()
         return k + 3
 
-    def read(self) -> tuple[list[int], list[Term]]:
-        """The document's triples as term numbers, three per triple, and its
-        terms by number."""
-        texts, tokens, iris = self.texts, self.tokens, self.iris
-        triples: list[int] = []
+    def read(self, builder: GraphBuilder) -> None:
+        """Add the document's triples to ``builder``, interning each term
+        when its first triple is added."""
+        texts, directives, iris = self.texts, self.directives, self.iris
+        intern, add_ids = builder.intern, builder.add_ids
         # One entry per open "[": the subject and predicate whose object it
         # is (None for a statement's subject), its node, the index of "[".
         stack: list[tuple] = []
@@ -235,8 +235,8 @@ class _Reader:
         while True:
             t = texts[i]
             if not t:
-                if not tokens[i][0]:
-                    return triples, self.terms  # the end of the input
+                if not directives[i]:
+                    return  # the end of the input
                 i = self.directive(i)
                 continue
             # A statement: its subject, then predicates and objects, until
@@ -258,7 +258,7 @@ class _Reader:
                 i += 1
             while step == _VERB:
                 t = texts[i]
-                predicate = 0 if t == "a" else iris.get(t)
+                predicate = RDF_TYPE if t == "a" else iris.get(t)
                 if predicate is None:
                     predicate = self.iri(i, "predicate")
                 i += 1
@@ -284,7 +284,7 @@ class _Reader:
                         else:
                             obj = self.iri(i, "object")
                     i += 1
-                    triples += (subject, predicate, obj)
+                    add_ids(intern(subject), intern(predicate), intern(obj))
                     # After an object: another object, another predicate, or
                     # the end of a list, which may close brackets.
                     while True:
@@ -297,7 +297,7 @@ class _Reader:
                             while texts[i] == ";":
                                 i += 1
                             t = texts[i]
-                            if t != "." and t != "]" and (t or tokens[i][0]):
+                            if t != "." and t != "]" and (t or directives[i]):
                                 step = _VERB
                                 break
                         if not stack:
@@ -312,7 +312,7 @@ class _Reader:
                             step = _END if texts[i] == "." else _VERB
                             break
                         subject, predicate = subject_of, predicate_of
-                        triples += (subject, predicate, node)
+                        add_ids(intern(subject), intern(predicate), intern(node))
             if texts[i] != ".":
                 raise self.error(i, "expected '.'")
             i += 1
@@ -322,15 +322,8 @@ def parse_turtle_subset(data: bytes | str, name: str | None = None) -> Graph:
     """Parse the supported Turtle subset into a frozen Graph."""
     text = decode_utf8(data)
     del data  # frees input bytes the caller passed without keeping
-    # The reader, its tokens and its memos are gone once read returns.
-    triples, terms = _Reader(text).read()
-    del text
     builder = GraphBuilder()
-    ids = [0] * len(terms)
-    for n in dict.fromkeys(triples):  # in the order the triples were added
-        ids[n] = builder.intern(terms[n])
-    numbers = map(ids.__getitem__, triples)
-    for s, p, o in zip(numbers, numbers, numbers):
-        builder.add_ids(s, p, o)
-    del triples, terms, ids, numbers
+    # The reader, its tokens and its memos are gone once read returns.
+    _Reader(text).read(builder)
+    del text
     return builder.freeze(name=name)

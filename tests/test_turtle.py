@@ -1,6 +1,7 @@
 """Turtle subset reader: accepted syntax, explicit refusals, and agreement
 with the reference reader in `turtle_reference`."""
 import random
+import time
 
 import pytest
 
@@ -152,6 +153,30 @@ def test_local_names_outside_turtle_1_1_are_positioned_errors(local, column, rea
     with pytest.raises(ParseError) as err:
         parse(f"@prefix ex: <urn:ex:> .\nex:s ex:p ex:{local} .\n")
     assert (err.value.line, err.value.column, err.value.reason) == (2, column, reason)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("ex:s ex:p ex:a" + "." * 40_000 + "b .\n", None),  # one name with a long dot run
+        ("ex:s ex:p ex:a" + "." * 40_000 + "\n", "expected subject"),
+        ("b-" * 40_000, "unexpected word 'b'"),  # each "b" starts a prefix scan
+        ("ex:s ex:p " + "a-" * 40_000, "unexpected character '-'"),
+        ('"' + '\\"' * 40_000, "unexpected character '\"'"),  # each quote starts a string scan
+    ],
+    ids=["dots-in-name", "dots-after-name", "hyphenated-words", "a-hyphens", "escaped-quotes"],
+)
+def test_long_runs_are_read_in_linear_time(text, error):
+    start = time.perf_counter()
+    try:
+        g = parse("@prefix ex: <urn:ex:> .\n" + text)
+    except ParseError as exc:
+        assert exc.reason == error
+    else:
+        assert error is None
+        assert next(iter(g)).object == Iri("urn:ex:a" + "." * 40_000 + "b")
+    # A scan repeated from each character takes seconds here.
+    assert time.perf_counter() - start < 1.0
 
 
 LOCALS = ["a", "b", "s1", "a.b", "x-y", "_u", "9", "a..b", "Z_"]
