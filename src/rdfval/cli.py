@@ -45,7 +45,6 @@ from .report import (
     render_campaign,
     render_matrix,
 )
-from .terms import BlankNode
 
 
 def _color_enabled() -> bool:
@@ -102,41 +101,16 @@ def _load_selected_catalog(catalog_path: str | None, pack: str | None) -> tuple[
 
 
 def _read_graphs(paths: tuple[str, ...]) -> Graph:
-    if len(paths) == 1:
-        return load_graph(paths[0])
+    """Every ``--data`` file read into one graph, frozen once. With several
+    files, blank labels are scoped per file as ``f<i>.``; a file that cannot
+    be read is an error naming it."""
     builder = GraphBuilder()
     for i, path in enumerate(paths):
-        _merge_ids(builder, load_graph(path), f"f{i}.")
+        try:
+            load_graph(path, into=builder, blank_prefix=f"f{i}." if len(paths) > 1 else "")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return builder.freeze(name="data")
-
-
-def _merge_ids(builder: GraphBuilder, g: Graph, blank_prefix: str) -> None:
-    """Add ``g``'s triples to ``builder`` as ids, interning each of its
-    terms once in first-use order. Blank node labels are file-scoped, so
-    each blank node is renamed ``blank_prefix + label``."""
-    ids: dict[int, int] = {}
-    intern = builder.intern
-    add_ids = builder.add_ids
-
-    def merged(local: int) -> int:
-        term = g.term(local)
-        if isinstance(term, BlankNode):
-            term = BlankNode(blank_prefix + term.label)
-        i = ids[local] = intern(term)
-        return i
-
-    get = ids.get
-    for s, p, o in g.match_ids(None, None, None):
-        ms = get(s)
-        if ms is None:
-            ms = merged(s)
-        mp = get(p)
-        if mp is None:
-            mp = merged(p)
-        mo = get(o)
-        if mo is None:
-            mo = merged(o)
-        add_ids(ms, mp, mo)
 
 
 @click.group()

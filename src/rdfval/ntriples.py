@@ -117,27 +117,32 @@ def _column_of_error(line_text: str) -> int:
     return i + 1
 
 
-def parse_ntriples(data: bytes | str, name: str | None = None) -> Graph:
-    """Parse N-Triples text into a frozen Graph.
+def parse_ntriples(
+    data: bytes | str, name: str | None = None, *, into: GraphBuilder | None = None, blank_prefix: str = ""
+) -> Graph | None:
+    """Parse N-Triples text into a frozen Graph; given ``into``, add its
+    triples to that builder instead and return None.
 
     Duplicate triples collapse (set semantics). The whole parse fails on the
-    first malformed line.
+    first malformed line. Blank labels become ``blank_prefix`` followed by
+    ``b0``, ``b1``, ... in first-seen order.
     """
     text = decode_utf8(data)
     del data  # frees input bytes the caller passed without keeping
-    builder = GraphBuilder()
-    _add_lines(text, builder)
-    # The text and the parse memos are gone before the indexes are built.
-    del text
-    return builder.freeze(name=name)
+    builder = GraphBuilder() if into is None else into
+    _add_lines(text, builder, blank_prefix)
+    if into is None:
+        # The text and the parse memos are gone before the indexes are built.
+        del text
+        return builder.freeze(name=name)
 
 
-def _add_lines(text: str, builder: GraphBuilder) -> None:
+def _add_lines(text: str, builder: GraphBuilder, blank_prefix: str) -> None:
     """Add every triple line of ``text`` to ``builder``.
 
     Each distinct token spelling (IRI text, blank label, literal groups) is
     turned into a term, checked and interned once; a repeat maps straight
-    to its id. Blank labels become ``b0``, ``b1``, ... in first-seen order.
+    to its id.
     """
     intern = builder.intern
     add_ids = builder.add_ids
@@ -173,7 +178,7 @@ def _add_lines(text: str, builder: GraphBuilder) -> None:
         elif sb is not None:
             s = blanks.get(sb)
             if s is None:
-                s = blanks[sb] = intern(BlankNode(f"b{len(blanks)}"))
+                s = blanks[sb] = intern(BlankNode(f"{blank_prefix}b{len(blanks)}"))
         else:
             continue  # blank or comment-only line
         p = iris.get(pi)
@@ -186,7 +191,7 @@ def _add_lines(text: str, builder: GraphBuilder) -> None:
         elif ob is not None:
             o = blanks.get(ob)
             if o is None:
-                o = blanks[ob] = intern(BlankNode(f"b{len(blanks)}"))
+                o = blanks[ob] = intern(BlankNode(f"{blank_prefix}b{len(blanks)}"))
         else:
             key = (lex, lang, dt)
             o = literals.get(key)

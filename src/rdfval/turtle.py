@@ -44,15 +44,15 @@ class UnsupportedFeature(ParseError):
 # final ones are empty. Only the first refused token is reported, so its
 # match takes the rest of the text: a failed scan, such as the prefix part
 # of a name that turns out to have no ":", is then never repeated from each
-# later character. A local name may not start with "." or "-" nor end with
-# "."; its dot runs are scanned once each, so long runs stay linear. A name
-# with and one without a prefix are two alternatives, which match faster
-# than one with an optional prefix.
+# later character. A local name or a blank label may not start with "." or
+# "-" nor end with "."; its dot runs are scanned once each, so long runs
+# stay linear. A name with and one without a prefix are two alternatives,
+# which match faster than one with an optional prefix.
 _LOCAL = r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*)?"
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:(@prefix\b|@base\b)|("
     r"<[^\x00-\x20<>\"{}|^`\\]*>"
-    r"|_:[A-Za-z0-9_][A-Za-z0-9_.\-]*"
+    r"|_:[A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*"
     r'|"(?!"")(?:[^"\\\n\r]|\\.)*"'
     r"|@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*"
     r"|\^\^"
@@ -100,6 +100,7 @@ def _refusal(text: str, k: int, token: str) -> ParseError:
     return _error_at(text, pos, feature, UnsupportedFeature)
 
 
+_DIRECTIVES = ("@prefix", "@base")
 _OBJECT, _VERB, _END = range(3)  # what a statement reads next
 
 
@@ -107,16 +108,17 @@ class _Reader:
     """One document's tokens, the directives in force and the term memos,
     which map each spelling to its term."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, blank_prefix: str):
         self.text = text
+        self.blank_prefix = blank_prefix
         tokens = _TOKEN_RE.findall(text)
         if any(map(itemgetter(2), tokens)):
             k = next(k for k, tok in enumerate(tokens) if tok[2])
             raise _refusal(text, k, tokens[k][2])
-        # Two columns are kept, and the tuples, most of the tokens' memory,
-        # are freed before any triple is added.
-        self.directives = list(map(itemgetter(0), tokens))
-        self.texts = list(map(itemgetter(1), tokens))
+        # One column is kept, and the tuples, most of the tokens' memory, are
+        # freed before any triple is added. A token of the subset never reads
+        # "@prefix" or "@base", which the directive group takes first.
+        self.texts = [d or t for d, t, _ in tokens]
         self.base: str | None = None
         self.prefixes: dict[str, str] = {}
         # IRIs and literals are dropped at each directive, since a prefixed
@@ -132,7 +134,7 @@ class _Reader:
 
     def fresh_blank(self) -> BlankNode:
         self.blank_count += 1
-        return BlankNode(f"b{self.blank_count - 1}")
+        return BlankNode(f"{self.blank_prefix}b{self.blank_count - 1}")
 
     def labeled_blank(self, t: str) -> BlankNode:
         node = self.blanks.get(t)
@@ -174,7 +176,7 @@ class _Reader:
         """The literal whose string token is at ``k``, and its last token."""
         texts = self.texts
         t, suffix = texts[k], texts[k + 1]
-        if suffix[:1] == "@":
+        if suffix[:1] == "@" and suffix not in _DIRECTIVES:
             key, end = (t, suffix), k + 1
         elif suffix == "^^":
             key, end = (t, suffix, texts[k + 2]), k + 2
@@ -187,7 +189,7 @@ class _Reader:
             except ParseError as exc:
                 raise self.error(k, exc.reason, 1 + exc.column) from None
             language = datatype = None
-            if suffix[:1] == "@":
+            if end == k + 1:
                 language = suffix[1:]
             elif suffix == "^^":
                 datatype = self.iri(k + 2, "datatype IRI")
@@ -202,7 +204,7 @@ class _Reader:
         """Apply the directive at ``k``; the index after it."""
         texts = self.texts
         prefix = None
-        if self.directives[k] == "@prefix":
+        if texts[k] == "@prefix":
             k += 1
             pname = texts[k]
             if ":" not in pname or pname[0] in '<_"':
@@ -226,7 +228,7 @@ class _Reader:
     def read(self, builder: GraphBuilder) -> None:
         """Add the document's triples to ``builder``, interning each term
         when its first triple is added."""
-        texts, directives, iris = self.texts, self.directives, self.iris
+        texts, iris = self.texts, self.iris
         intern, add_ids = builder.intern, builder.add_ids
         # One entry per open "[": the subject and predicate whose object it
         # is (None for a statement's subject), its node, the index of "[".
@@ -235,8 +237,8 @@ class _Reader:
         while True:
             t = texts[i]
             if not t:
-                if not directives[i]:
-                    return  # the end of the input
+                return  # the end of the input
+            if t in _DIRECTIVES:
                 i = self.directive(i)
                 continue
             # A statement: its subject, then predicates and objects, until
@@ -297,7 +299,7 @@ class _Reader:
                             while texts[i] == ";":
                                 i += 1
                             t = texts[i]
-                            if t != "." and t != "]" and (t or directives[i]):
+                            if t != "." and t != "]" and t:
                                 step = _VERB
                                 break
                         if not stack:
@@ -318,12 +320,17 @@ class _Reader:
             i += 1
 
 
-def parse_turtle_subset(data: bytes | str, name: str | None = None) -> Graph:
-    """Parse the supported Turtle subset into a frozen Graph."""
+def parse_turtle_subset(
+    data: bytes | str, name: str | None = None, *, into: GraphBuilder | None = None, blank_prefix: str = ""
+) -> Graph | None:
+    """Parse the supported Turtle subset into a frozen Graph; given ``into``,
+    add its triples to that builder instead and return None. Blank nodes
+    become ``blank_prefix`` followed by ``b0``, ``b1``, ... in reading order."""
     text = decode_utf8(data)
     del data  # frees input bytes the caller passed without keeping
-    builder = GraphBuilder()
+    builder = GraphBuilder() if into is None else into
     # The reader, its tokens and its memos are gone once read returns.
-    _Reader(text).read(builder)
-    del text
-    return builder.freeze(name=name)
+    _Reader(text, blank_prefix).read(builder)
+    if into is None:
+        del text
+        return builder.freeze(name=name)

@@ -1,4 +1,5 @@
 """Command line behavior via click's test runner."""
+import gzip
 import json
 
 import pytest
@@ -146,6 +147,36 @@ def test_validate_merges_files_with_scoped_blank_nodes(tmp_path):
     )
     assert result.exit_code == 1
     assert result.output.splitlines()[0] == "V-1  violated  2"
+
+
+def test_validate_read_error_names_the_second_file(tmp_path):
+    cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
+    one = write_nt(tmp_path / "one.nt", CLEAN)
+    two = tmp_path / "two.ttl"
+    two.write_text("@prefix ex: <urn:ex:> .\nex:s ex:p ex:o\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", "--data", one, "--data", str(two), "--catalog", cat])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {two}: line 3, column 1: expected '.'\n"
+
+
+@pytest.mark.parametrize(
+    "name, damage, reason",
+    [
+        ("truncated.nt.gz", lambda gz: gz[:-12], "damaged gzip data: "),
+        ("corrupt.nt.gz", lambda gz: gz[:10] + b"\xff" * 8 + gz[18:], "damaged gzip data: "),
+        ("plain.nt.gz", lambda gz: gzip.decompress(gz), "damaged gzip data: "),
+        ("data.rdf", lambda gz: gzip.decompress(gz), "cannot infer RDF format from file name: data.rdf"),
+    ],
+    ids=["truncated-gzip", "corrupt-gzip", "not-gzip", "unknown-extension"],
+)
+def test_validate_unreadable_data_file_is_an_error_naming_it(tmp_path, name, damage, reason):
+    cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
+    data = tmp_path / name
+    data.write_bytes(damage(gzip.compress("".join(line + "\n" for line in CLEAN).encode("utf-8"))))
+    result = CliRunner().invoke(main, ["validate", "--data", str(data), "--catalog", cat])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {data}: {reason}"), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_validate_reads_turtle_nested_past_the_recursion_limit(tmp_path):

@@ -3,8 +3,8 @@
 N-Triples text written with non-canonical spellings must parse to the
 graph ``GraphBuilder.add`` builds over the same terms, with the same term
 ids; an error must surface at the first occurrence of the bad token; and
-the id-level merge of ``validate --data`` files must equal a merge through
-``Triple`` objects.
+reading several ``validate --data`` files into one builder must number
+their terms as each file alone does, file after file.
 """
 import gzip
 import random
@@ -249,21 +249,29 @@ def test_turtle_bracketed_objects_keep_add_order():
 # ---- the multi-file merge --------------------------------------------------
 
 
-def merge_through_triples(paths):
-    """The merge ``validate --data`` made before it moved ids."""
+def scoped(term, i):
+    return BlankNode(f"f{i}.{term.label}") if isinstance(term, BlankNode) else term
+
+
+def merge_file_by_file(paths):
+    """Each file's terms interned in that file's own id order, file after
+    file, then its triples added."""
     builder = GraphBuilder()
     for i, path in enumerate(paths):
-        for t in load_graph(path):
-            s = BlankNode(f"f{i}.{t.subject.label}") if isinstance(t.subject, BlankNode) else t.subject
-            o = BlankNode(f"f{i}.{t.object.label}") if isinstance(t.object, BlankNode) else t.object
-            builder.add(s, t.predicate, o)
+        g = load_graph(path)
+        ids = [builder.intern(scoped(g.term(k), i)) for k in range(len(g._terms))]
+        for s, p, o in g.match_ids(None, None, None):
+            builder.add_ids(ids[s], ids[p], ids[o])
     return builder.freeze(name="data")
+
+
+def fixture_path(name):
+    return Path(rdfval.packs.__file__).parent / "data" / "fixtures" / f"{name}.nt"
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_id_level_merge_equals_triple_level_merge(tmp_path, name):
-    fixture = Path(rdfval.packs.__file__).parent / "data" / "fixtures" / f"{name}.nt"
-    lines = [x for x in fixture.read_text(encoding="utf-8").split("\n") if x]
+    lines = [x for x in fixture_path(name).read_text(encoding="utf-8").split("\n") if x]
     paths = []
     for k, suffix in enumerate([".nt", ".nt.gz", ".ttl"]):
         part = lines[k::3] + [
@@ -276,7 +284,19 @@ def test_id_level_merge_equals_triple_level_merge(tmp_path, name):
         paths.append(str(path))
     for chosen in (paths, paths[::-1], paths[1:]):
         merged = _read_graphs(tuple(chosen))
-        reference = merge_through_triples(chosen)
+        reference = merge_file_by_file(chosen)
         assert same_graph(merged, reference)
         assert merged.name == reference.name == "data"
         assert len(merged) == sum(len(load_graph(p)) for p in chosen)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_first_of_several_files_numbers_terms_as_when_read_alone(tmp_path, name):
+    empty = tmp_path / "empty.nt"
+    empty.write_bytes(b"")
+    alone = _read_graphs((str(fixture_path(name)),))
+    first = _read_graphs((str(fixture_path(name)), str(empty)))
+    assert list(first.match_ids(None, None, None)) == list(alone.match_ids(None, None, None))
+    assert [first.term(k) for k in range(len(first._terms))] == [
+        scoped(alone.term(k), 0) for k in range(len(alone._terms))
+    ]

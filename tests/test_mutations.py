@@ -2,9 +2,10 @@
 
 Each input is damaged by one to three byte-level mutations: a bit flip, a
 deletion, a truncation, a run of ``[``, an escaped lone surrogate or a
-5,000-digit number. Whatever a mutation leaves must load or fail the way
+5,000-digit number; a gzipped file is damaged in its compressed bytes. Whatever a mutation leaves must load or fail the way
 the README says for that input, never with another exception.
 """
+import gzip
 import json
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import rdfval.packs
 from mockserver import term_binding
 from rdfval.catalog import CatalogError, load_catalog
+from rdfval.graphio import load_graph
 from rdfval.harvest import _EndpointBlanks, _parse_rows, _read_json, load_sources
 from rdfval.ntriples import ParseError, parse_ntriples
 from rdfval.packs import load_fixture, pack_text
@@ -89,6 +91,12 @@ def outcomes_text() -> bytes:
     }, indent=2).encode()
 
 
+def load_gzipped_ntriples(data, tmp_path):
+    path = tmp_path / "data.nt.gz"
+    path.write_bytes(data)
+    return load_graph(path)
+
+
 def load_profile(data, tmp_path):
     path = tmp_path / "profile.json"
     path.write_bytes(data)
@@ -109,6 +117,7 @@ def load_outcomes(data, tmp_path):
 INPUTS = {
     "ntriples": (lambda: (FIXTURE_DIR / "thesaurus.nt").read_bytes(), lambda d, _: parse_ntriples(d), ParseError),
     "turtle": (lambda: TURTLE, lambda d, _: parse_turtle_subset(d), ParseError),
+    "gzip": (lambda: gzip.compress((FIXTURE_DIR / "thesaurus.nt").read_bytes()), load_gzipped_ntriples, ValueError),
     # _fetch_page retries a page on exactly these.
     "page": (page_payload, lambda d, _: _parse_rows(d, _EndpointBlanks()), (KeyError, TypeError, ValueError)),
     "catalog": (lambda: pack_text("qb").encode("utf-8"), lambda d, _: load_catalog(d), CatalogError),

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from rdfval.ntriples import ParseError, parse_ntriples, serialize_ntriples
-from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_STRING
+from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, Triple, XSD_STRING
 from rdfval.turtle import UnsupportedFeature, parse_turtle_subset
 from test_mutations import TURTLE, mutate
 from turtle_reference import parse_reference
@@ -160,11 +160,12 @@ def test_local_names_outside_turtle_1_1_are_positioned_errors(local, column, rea
     [
         ("ex:s ex:p ex:a" + "." * 40_000 + "b .\n", None),  # one name with a long dot run
         ("ex:s ex:p ex:a" + "." * 40_000 + "\n", "expected subject"),
+        ("ex:s ex:p _:a" + "." * 40_000 + "\n", "expected subject"),
         ("b-" * 40_000, "unexpected word 'b'"),  # each "b" starts a prefix scan
         ("ex:s ex:p " + "a-" * 40_000, "unexpected character '-'"),
         ('"' + '\\"' * 40_000, "unexpected character '\"'"),  # each quote starts a string scan
     ],
-    ids=["dots-in-name", "dots-after-name", "hyphenated-words", "a-hyphens", "escaped-quotes"],
+    ids=["dots-in-name", "dots-after-name", "dots-after-blank-label", "hyphenated-words", "a-hyphens", "escaped-quotes"],
 )
 def test_long_runs_are_read_in_linear_time(text, error):
     start = time.perf_counter()
@@ -176,6 +177,16 @@ def test_long_runs_are_read_in_linear_time(text, error):
         assert error is None
         assert next(iter(g)).object == Iri("urn:ex:a" + "." * 40_000 + "b")
     # A scan repeated from each character takes seconds here.
+    assert time.perf_counter() - start < 1.0
+
+
+def test_blank_labels_hold_dots_but_do_not_end_with_one():
+    start = time.perf_counter()
+    long = "_:b1" + "." * 40_000 + "a"
+    g = parse(f"@prefix ex: <urn:ex:> .\nex:s ex:p _:b1.\nex:s ex:q _:b1.a , {long} , _:b1 .\n")
+    s, p, q = Iri("urn:ex:s"), Iri("urn:ex:p"), Iri("urn:ex:q")
+    b0, b1, b2 = (BlankNode(f"b{n}") for n in range(3))
+    assert set(g) == {Triple(s, p, b0), Triple(s, q, b1), Triple(s, q, b2), Triple(s, q, b0)}
     assert time.perf_counter() - start < 1.0
 
 
@@ -208,7 +219,7 @@ def random_object(rng, prefixes, base, depth):
     if roll < 0.35:
         return random_literal(rng, prefixes)
     if roll < 0.45:
-        return f"_:{rng.choice(['x', 'y', 'n1', 'b0'])}"
+        return f"_:{rng.choice(['x', 'y', 'n1', 'b0', 'x.y'])}"
     if roll < 0.55 and depth < 48:
         if rng.random() < 0.2:
             return "[]"
@@ -245,7 +256,7 @@ def random_document(rng):
             if rng.random() < 0.15:
                 subject = f"[ {random_pol(rng, prefixes, base, 1)} ]" if rng.random() < 0.7 else "[ ]"
             elif rng.random() < 0.2:
-                subject = f"_:{rng.choice(['x', 'y', 'n1'])}"
+                subject = f"_:{rng.choice(['x', 'y', 'n1', 'x.y'])}"
             else:
                 subject = random_iri(rng, prefixes, base)
             if subject.startswith("[") and rng.random() < 0.3:
@@ -321,6 +332,8 @@ def test_each_term_is_built_once(monkeypatch):
         ('ex:s ex:p "x"@en , "x"^^@en .', 25, "expected datatype IRI"),
         # A directive after ";" is no predicate.
         ("ex:s ex:p ex:o ; @prefix ex: <urn:ex:> .", 18, "expected predicate"),
+        # A directive after a string is no language tag.
+        ('ex:s ex:p "x"@prefix ex: <urn:ex:> .', 14, "expected '.'"),
     ],
 )
 def test_memoized_spellings_keep_their_errors(text, column, reason):

@@ -32,7 +32,7 @@ _TOKEN_RE = re.compile(
             ("PREFIX_DIR", r"@prefix\b"),
             ("BASE_DIR", r"@base\b"),
             ("IRIREF", r"<[^\x00-\x20<>\"{}|^`\\]*>"),
-            ("BLANK", r"_:[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
+            ("BLANK", r"_:[A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*"),
             ("STRING", r'"(?:[^"\\\n\r]|\\.)*"'),
             ("LANGTAG", r"@[a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*"),
             ("DTSEP", r"\^\^"),
