@@ -20,6 +20,7 @@ from .checker import (
     CheckOutcome,
     CompileError,
     Violation,
+    ViolationReport,
     check,
     compile_constraint,
     mark_source_incomplete,
@@ -57,6 +58,7 @@ __all__ = [
     "Source",
     "Triple",
     "Violation",
+    "ViolationReport",
     "__version__",
     "check",
     "classify",

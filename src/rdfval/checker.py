@@ -2,17 +2,23 @@
 
 Class membership is explicit rdf:type only; there is no subclass
 inference.  Each violation is identified by its (focus, path, value)
-triple, deduplicated, and reported once; violations are ordered by the
-focus term's canonical form.  All failure modes are encoded in outcomes,
-never raised out of check().
+triple, deduplicated, and reported once.  A constraint's violations are
+in report order: by the display text of the focus (an IRI's text, a
+literal's lexical form or ``_:label``), then the focus's kind (``BlankNode``
+< ``Iri`` < ``Literal``), then the display texts of the path and the value,
+then the value's kind, where an absent path or value has the empty text
+and kind.  All failure modes are encoded in outcomes, never raised out of
+check().
 """
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .catalog import PLACEHOLDER_RE, Catalog, Constraint, IMPLEMENTED, Severity
 from .graph import Graph, GraphBuilder
@@ -47,6 +53,7 @@ from .terms import (
     RDF_TYPE,
     Term,
     XSD_INTEGER,
+    escape_literal,
     plain_literal_text,
     term_text,
 )
@@ -467,9 +474,9 @@ def _message_template(c: Constraint) -> str:
     return "".join(template)
 
 
-def _run_constraint(
-    g: Graph, c: Constraint, limit: int | None, budget: float | None, records: bool
-) -> CheckOutcome:
+def _run_constraint(g: Graph, c: Constraint, limit: int | None, budget: float | None, keep) -> CheckOutcome:
+    """One constraint's outcome; ``keep(c, plan, keys)``, when given, turns
+    its kept keys into the outcome's violations."""
     start = time.monotonic()
     deadline = None if budget is None else start + budget
     try:
@@ -480,25 +487,23 @@ def _run_constraint(
         )
     term = g.term
 
-    # A row is its own key: the focus id, then the path and value ids where
-    # the plan binds them.  `seen` maps a kept key to its focus term and a
-    # skipped one to None, so each key is judged once.
-    seen: dict[tuple, Term | None] = {}
-    kept = 0
+    # A row is its own key: the focus id, then the path and value ids (or
+    # count literal) where the plan binds them.  Each key is judged once; a
+    # missing or literal focus is no violation.
+    seen: set[tuple] = set()
+    kept: list[tuple] = []
     truncated = False
     try:
         for key in run_plan(g, built, deadline=deadline):
             if key in seen:
                 continue
-            focus = None if key[0] is None else term(key[0])
-            if focus is None or isinstance(focus, Literal):
-                seen[key] = None
+            seen.add(key)
+            if key[0] is None or isinstance(term(key[0]), Literal):
                 continue
-            if limit is not None and kept >= limit:
+            if limit is not None and len(kept) >= limit:
                 truncated = True
                 break
-            seen[key] = focus
-            kept += 1
+            kept.append(key)
     except BudgetExceeded:
         return CheckOutcome(
             c.id, ENGINE_FAILURE, reason="budget", wall_time=time.monotonic() - start
@@ -507,50 +512,116 @@ def _run_constraint(
         return CheckOutcome(
             c.id, ENGINE_FAILURE, reason=str(exc), wall_time=time.monotonic() - start
         )
+    del seen
 
-    violations = _records(g, c, built, seen) if records else ()
+    violations = keep(c, built, kept) if keep is not None and kept else ()
     elapsed = time.monotonic() - start
     if truncated:
-        return CheckOutcome(c.id, TRUNCATED, violations, count=kept, limit=limit, wall_time=elapsed)
+        return CheckOutcome(c.id, TRUNCATED, violations, count=len(kept), limit=limit, wall_time=elapsed)
     if kept:
-        return CheckOutcome(c.id, VIOLATED, violations, count=kept, wall_time=elapsed)
+        return CheckOutcome(c.id, VIOLATED, violations, count=len(kept), wall_time=elapsed)
     return CheckOutcome(c.id, OK, wall_time=elapsed)
 
 
-def _records(g: Graph, c: Constraint, built: Plan, seen: dict) -> tuple[Violation, ...]:
-    """The violation records of the kept keys of ``seen``, in report order.
+# The texts of a reported term: its display text, its kind (the name of its
+# class), its N-Triples text, its display text escaped for a plain literal,
+# and the term.  An absent path or value has the empty texts.
+_NO_TEXTS = ("", "", None, "", None)
 
-    Each kept violation's focus, path and value are displayed once, for the
-    sort key and the message.  ``seen`` is emptied so that a large outcome
-    is not held twice."""
-    term = g.term
-    columns = built.columns
-    path_at = columns.index(built.path) if isinstance(built.path, Variable) else None
-    value_at = columns.index(built.value) if isinstance(built.value, Variable) else None
-    ordered = []
-    for key, focus in seen.items():
-        if focus is None:
-            continue
-        path = built.path if path_at is None else key[path_at]
-        if path.__class__ is int:
-            # Every compiler binds a path variable in predicate position,
-            # where only IRIs occur, so this never merges two kept keys.
-            path = term(path)
-            if not isinstance(path, Iri):
-                path = None
-        value = built.value if value_at is None else key[value_at]
-        if value.__class__ is int:
-            value = term(value)
-        value_kind = "" if value is None else value.__class__.__name__
-        texts = (_display(focus), focus.__class__.__name__, _display(path), _display(value), value_kind)
-        ordered.append((texts, focus, path, value))
-    seen.clear()
-    ordered.sort(key=itemgetter(0))
-    message = _message_template(c).format
-    return tuple(
-        Violation(c.id, c.severity, focus, path, value, message(t[0], t[2], t[3]))
-        for t, focus, path, value in ordered
-    )
+
+def _term_texts(term: Term) -> tuple:
+    display = _display(term)
+    return (display, term.__class__.__name__, term_text(term), escape_literal(display), term)
+
+
+class ViolationReport:
+    """The kept violations of one check run, as the texts they are
+    reported with.
+
+    ``check(g, catalog, records=ViolationReport(g))`` hands each
+    constraint's kept keys of graph ids here instead of building violation
+    records, and ``chunks()`` then renders ``violations.nt``.  Each
+    distinct focus, path or value (a graph id, a count literal or a
+    constant of the plan) has its texts made once per report, however many
+    violations show it, and a violation is held as three references to
+    them.
+    """
+
+    __slots__ = ("_graph", "_texts", "_paths", "_heads", "_starts", "_cells")
+
+    def __init__(self, graph: Graph):
+        self._graph = graph
+        # Focus and value texts, so that the report's blank labels are
+        # exactly those of its foci and values.
+        self._texts: dict = {None: _NO_TEXTS}
+        # Path texts, apart: a path that is no IRI has the empty texts.
+        self._paths: dict = {None: _NO_TEXTS}
+        # Per constraint with kept violations, its head (see ``_chunks``)
+        # and the number of its first violation; per violation, its focus,
+        # path and value texts, one after another.
+        self._heads: list[tuple] = []
+        self._starts: list[int] = []
+        self._cells: list[tuple] = []
+
+    def _ordered(self, built: Plan, keys: list[tuple]) -> list[tuple]:
+        """The (focus, path, value) texts of each key, in report order."""
+        term = self._graph.term
+        texts, paths = self._texts, self._paths
+
+        def of(x) -> tuple:
+            t = texts[x] = _term_texts(term(x) if x.__class__ is int else x)
+            return t
+
+        def path_of(x) -> tuple:
+            # Every compiler but DIMENSION-COMPLETENESS binds its path
+            # variable in predicate position, where only IRIs occur.
+            t = term(x) if x.__class__ is int else x
+            t = paths[x] = _term_texts(t) if isinstance(t, Iri) else _NO_TEXTS
+            return t
+
+        columns = built.columns
+        path_at = columns.index(built.path) if isinstance(built.path, Variable) else None
+        value_at = columns.index(built.value) if isinstance(built.value, Variable) else None
+        text, path_text = texts.get, paths.get
+        path = None if path_at is not None else path_text(built.path) or path_of(built.path)
+        value = None if value_at is not None else text(built.value) or of(built.value)
+        # Each row leads with its sort key, so that the sort compares
+        # tuples built here rather than calling back per row.
+        rows = []
+        for key in keys:
+            f = text(key[0]) or of(key[0])
+            p = path or path_text(key[path_at]) or path_of(key[path_at])
+            v = value or text(key[value_at]) or of(key[value_at])
+            rows.append(((f[0], f[1], p[0], v[0], v[1]), f, p, v))
+        rows.sort(key=itemgetter(0))
+        return rows
+
+    def _records(self, c: Constraint, built: Plan, keys: list[tuple]) -> tuple[Violation, ...]:
+        """The violation records of a constraint's kept keys, in report order."""
+        message = _message_template(c).format
+        return tuple(
+            Violation(c.id, c.severity, focus[4], path[4], value[4], message(focus[0], path[0], value[0]))
+            for _, focus, path, value in self._ordered(built, keys)
+        )
+
+    def _keep(self, c: Constraint, built: Plan, keys: list[tuple]) -> tuple:
+        # Escaping works character by character and leaves braces as they
+        # are, so the escaped template filled with escaped texts is the
+        # escaped message.
+        message = escape_literal(_message_template(c)).format
+        self._heads.append((_constraint_tail(c.id), _SEVERITY_TAILS[c.severity], message))
+        self._starts.append(len(self._cells) // 3)
+        cells = self._cells
+        for _, focus, path, value in self._ordered(built, keys):
+            cells += (focus, path, value)
+        return ()
+
+    def chunks(self) -> Iterator[bytes]:
+        """``violations.nt`` of the kept violations, as UTF-8 chunks: the
+        bytes ``violation_chunks`` writes for the outcomes of the same
+        check run with violation records."""
+        prefix = _report_prefix(t[4] for t in self._texts.values())
+        return _chunks(self._heads, self._starts, self._cells, prefix)
 
 
 def check(
@@ -558,7 +629,7 @@ def check(
     catalog: Catalog,
     limit: int | None = DEFAULT_LIMIT,
     budget: float | None = DEFAULT_BUDGET,
-    records: bool = True,
+    records: bool | ViolationReport = True,
 ) -> list[CheckOutcome]:
     """Run every catalog constraint over the graph, in catalog order.
 
@@ -566,16 +637,23 @@ def check(
     `limit` caps violations per constraint (reaching it stops that
     constraint early); `budget` is wall-clock seconds per constraint.
     With `records=False` the outcomes keep their status, count and limit
-    but no violation records: `violations` is always ``()``.
+    but no violation records: `violations` is always ``()``.  Given a
+    `ViolationReport` of `g`, the outcomes are those of `records=False`,
+    and the report takes each constraint's kept violations, for
+    ``violations.nt``.
     """
     if budget is not None and math.isnan(budget):
         raise ValueError("budget must be a number of seconds, not NaN")
+    if isinstance(records, ViolationReport):
+        keep = records._keep
+    else:
+        keep = ViolationReport(g)._records if records else None
     outcomes: list[CheckOutcome] = []
     for c in catalog.constraints:
         if c.status != IMPLEMENTED:
             outcomes.append(CheckOutcome(c.id, NOT_IMPLEMENTED_STATUS))
             continue
-        outcomes.append(_run_constraint(g, c, limit, budget, records))
+        outcomes.append(_run_constraint(g, c, limit, budget, keep))
     return outcomes
 
 
@@ -598,17 +676,12 @@ def mark_source_incomplete(outcomes: list[CheckOutcome], parts_missing: int) -> 
     return flagged
 
 
-def _report_prefix(outcomes: list[CheckOutcome]) -> str:
+def _report_prefix(terms) -> str:
     """The label prefix of the report nodes: ``v``, or as many ``v`` as it
-    takes for no focus or value blank label to start with it, so that a
-    report node never merges with a reported one."""
-    labels = [
-        t.label
-        for outcome in outcomes
-        for v in outcome.violations
-        for t in (v.focus, v.value)
-        if isinstance(t, BlankNode)
-    ]
+    takes for no reported blank node among ``terms`` to have a label that
+    starts with it, so that a report node never merges with a reported
+    one."""
+    labels = [t.label for t in terms if isinstance(t, BlankNode)]
     prefix = "v"
     while any(label.startswith(prefix) for label in labels):
         prefix += "v"
@@ -624,7 +697,7 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     ``violation_chunks`` writes the same triples without building the
     graph."""
     b = GraphBuilder()
-    prefix = _report_prefix(outcomes)
+    prefix = _report_prefix(t for outcome in outcomes for v in outcome.violations for t in (v.focus, v.value))
     n = 0
     for outcome in outcomes:
         for v in outcome.violations:
@@ -641,53 +714,83 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     return b.freeze(name="violations")
 
 
-# Report nodes per chunk of ``violation_chunks``: about 100 KB of text on
+# Report nodes per chunk of ``_chunks``: about 100 KB of text on
 # the shipped packs' reports, so the file is written in few calls and is
 # never held whole.
 _CHUNK_BLOCKS = 256
+
+_ROOT_P = f" {term_text(REPORT_ROOT)} "
+_PATH_P = f" {term_text(REPORT_PATH)} "
+_VALUE_P = f" {term_text(REPORT_VALUE)} "
+_MESSAGE_P = f' {term_text(REPORT_MESSAGE)} "'
+_SEVERITY_TAILS = {s: f" {term_text(REPORT_SEVERITY)} {plain_literal_text(s.json_name)} ." for s in Severity}
+
+
+def _constraint_tail(constraint_id: str) -> str:
+    return f" {term_text(REPORT_CONSTRAINT)} {plain_literal_text(constraint_id)} ."
+
+
+def _chunks(heads: list, starts: Sequence[int], cells: list, prefix: str) -> Iterator[bytes]:
+    """The report as UTF-8 chunks: one node ``_:<prefix><n>`` per violation.
+
+    Violation ``n`` has the texts ``cells[3n:3n + 3]`` of its focus, path
+    and value, and the head ``heads[i]`` of the last ``starts[i]`` at or
+    before ``n``: its constraint line, its severity line, and a function
+    from the escaped display texts of focus, path and value to its escaped
+    message.
+
+    Every line of node ``n`` starts with its label and a space, labels are
+    distinct, and a space sorts below every digit.  So visiting the
+    violations in the string order of their numbers (``v1`` < ``v10`` <
+    ``v2``) and writing each node's lines in predicate order gives the
+    canonical line order, with no sort of the lines."""
+    prefix = f"_:{prefix}"
+    order = sorted(range(len(cells) // 3), key=str)
+    for start in range(0, len(order), _CHUNK_BLOCKS):
+        blocks = []
+        for n in order[start : start + _CHUNK_BLOCKS]:
+            constraint, severity, message = heads[bisect_right(starts, n) - 1]
+            focus, path, value = cells[3 * n : 3 * n + 3]
+            node = f"{prefix}{n}"
+            sep = f"\n{node}"
+            block = f'{node}{constraint}{sep}{_MESSAGE_P}{message(focus[3], path[3], value[3])}" .'
+            if path[2] is not None:
+                block = f"{block}{sep}{_PATH_P}{path[2]} ."
+            block = f"{block}{sep}{_ROOT_P}{focus[2]} .{sep}{severity}"
+            if value[2] is not None:
+                block = f"{block}{sep}{_VALUE_P}{value[2]} ."
+            blocks.append(block)
+        blocks.append("")  # the chunk's final newline
+        yield "\n".join(blocks).encode("utf-8")
+
+
+def _fixed_message(message: str, *texts: str) -> str:
+    """A record's message, escaped: it is no template of the texts."""
+    return escape_literal(message)
 
 
 def violation_chunks(outcomes: list[CheckOutcome]) -> Iterator[bytes]:
     """``serialize_ntriples(violations_to_graph(outcomes))`` as UTF-8
     chunks, written straight from the violation records, with no graph
-    built and no sort.
+    built and no sort of the lines."""
+    texts: dict = {None: _NO_TEXTS}
+    constraints: dict[str, str] = {}
 
-    Every line of violation ``n`` starts with its node's label and a space,
-    labels are distinct, and a space sorts below every digit.  So visiting
-    the violations in the string order of their numbers (``v1`` < ``v10``
-    < ``v2``) and writing each node's lines in predicate order gives the
-    canonical line order."""
-    violations = [v for outcome in outcomes for v in outcome.violations]
-    root = f" {term_text(REPORT_ROOT)} "
-    path_p = f" {term_text(REPORT_PATH)} "
-    value_p = f" {term_text(REPORT_VALUE)} "
-    severity_p = f" {term_text(REPORT_SEVERITY)} "
-    message_p = f" {term_text(REPORT_MESSAGE)} "
-    constraint_p = f" {term_text(REPORT_CONSTRAINT)} "
-    severity_tails = {s: f"{severity_p}{plain_literal_text(s.json_name)} ." for s in Severity}
-    constraint_tails: dict[str, str] = {}
-    prefix = f"_:{_report_prefix(outcomes)}"
-    order = sorted(range(len(violations)), key=str)
-    for start in range(0, len(order), _CHUNK_BLOCKS):
-        blocks = []
-        for n in order[start : start + _CHUNK_BLOCKS]:
-            v = violations[n]
-            constraint_tail = constraint_tails.get(v.constraint_id)
-            if constraint_tail is None:
-                constraint_tail = constraint_tails[v.constraint_id] = (
-                    f"{constraint_p}{plain_literal_text(v.constraint_id)} ."
-                )
-            tails = [constraint_tail, f"{message_p}{plain_literal_text(v.message)} ."]
-            if v.path is not None:
-                tails.append(f"{path_p}{term_text(v.path)} .")
-            tails.append(f"{root}{term_text(v.focus)} .")
-            tails.append(severity_tails[v.severity])
-            if v.value is not None:
-                tails.append(f"{value_p}{term_text(v.value)} .")
-            node = f"{prefix}{n}"
-            blocks.append(node + f"\n{node}".join(tails))
-        blocks.append("")  # the chunk's final newline
-        yield "\n".join(blocks).encode("utf-8")
+    def of(term) -> tuple:
+        t = texts.get(term)
+        if t is None:
+            t = texts[term] = _term_texts(term)
+        return t
+
+    heads, cells = [], []
+    for outcome in outcomes:
+        for v in outcome.violations:
+            constraint = constraints.get(v.constraint_id)
+            if constraint is None:
+                constraint = constraints[v.constraint_id] = _constraint_tail(v.constraint_id)
+            heads.append((constraint, _SEVERITY_TAILS[v.severity], partial(_fixed_message, v.message)))
+            cells += (of(v.focus), of(v.path), of(v.value))
+    return _chunks(heads, range(len(heads)), cells, _report_prefix(t[4] for t in texts.values()))
 
 
 def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:

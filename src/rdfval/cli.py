@@ -28,8 +28,8 @@ from .checker import (
     SOURCE_INCOMPLETE,
     TRUNCATED,
     VIOLATED,
+    ViolationReport,
     check,
-    violation_chunks,
 )
 from .graph import Graph, GraphBuilder
 from .graphio import load_graph
@@ -158,7 +158,9 @@ def validate(data_paths, catalog_path, pack, limit, budget, fail_on, out_dir) ->
     """Check local data against a catalog."""
     catalog, pack_name = _load_selected_catalog(catalog_path, pack)
     graph = _read_graphs(data_paths)
-    outcomes = check(graph, catalog, limit=limit, budget=budget)
+    # Without --out nothing is rendered, so no violation is kept.
+    report = ViolationReport(graph) if out_dir else False
+    outcomes = check(graph, catalog, limit=limit, budget=budget, records=report)
 
     tallies = {status: 0 for status in _STATUS_COLORS}
     for o in outcomes:
@@ -184,7 +186,7 @@ def validate(data_paths, catalog_path, pack, limit, budget, fail_on, out_dir) ->
         out.mkdir(parents=True, exist_ok=True)
         column = SourceOutcomes(Path(data_paths[0]).stem, pack_name, "local", tuple(outcomes))
         write_json(out / "outcomes.json", outcomes_document(column))
-        write_atomic(out / "violations.nt", violation_chunks(outcomes))
+        write_atomic(out / "violations.nt", report.chunks())
         for fmt in ("csv", "md"):
             write_atomic(out / f"matrix.{fmt}", render_matrix(catalog, [column], fmt))
         click.echo(f"report written to {out}")

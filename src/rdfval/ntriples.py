@@ -27,7 +27,8 @@ class ParseError(ValueError):
 
 
 _IRIREF = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
-_BLANK = r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)"
+# A label may hold dots but not end with one; each dot run is scanned once.
+_BLANK = r"_:([A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*)"
 _LITERAL = r'"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"(?:@([a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)|\^\^' + _IRIREF + r")?"
 
 # One whole line from its first character, with its line break if any.

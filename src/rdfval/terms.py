@@ -18,7 +18,9 @@ SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # hold it, so neither an IRI nor a lexical form may carry one.
 BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
 SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
-_BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+# The N-Triples BLANK_NODE_LABEL over ASCII: dots only between other
+# characters, so every label is written back as the same node.
+_BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*(?:\.+[A-Za-z0-9_\-]+)*")
 _LANG_TAG_RE = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 
 
@@ -54,7 +56,7 @@ class BlankNode(Term):
     label: str
 
     def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.match(self.label):
+        if not _BLANK_LABEL_RE.fullmatch(self.label):
             raise ValueError(f"bad blank node label: {quoted(self.label)}")
 
     def __repr__(self) -> str:
@@ -137,7 +139,9 @@ _ESCAPES = {
 _NEEDS_ESCAPE = re.compile(r'[\x00-\x1f\x7f"\\]')
 
 
-def _escape_literal(text: str) -> str:
+def escape_literal(text: str) -> str:
+    """``text`` as the inside of an N-Triples string, escaped character by
+    character."""
     if _NEEDS_ESCAPE.search(text) is None:
         return text
     out = []
@@ -154,7 +158,7 @@ def _escape_literal(text: str) -> str:
 
 def plain_literal_text(lexical: str) -> str:
     """Canonical N-Triples rendering of a plain (xsd:string) literal."""
-    return f'"{_escape_literal(lexical)}"'
+    return f'"{escape_literal(lexical)}"'
 
 
 def term_text(term: Term) -> str:

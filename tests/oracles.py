@@ -1050,7 +1050,7 @@ _NASTY_LEXICALS = (
 def random_serializable_graph(rng) -> Graph:
     """Small graph mixing every term kind with hostile lexical forms."""
     b = GraphBuilder()
-    labels = ["n1", "a.b-c_9", "0start", "x", "dot.", "under_score"]
+    labels = ["n1", "a.b-c_9", "0start", "x", "dot..run", "under_score"]
     bnodes = [BlankNode(label) for label in rng.sample(labels, rng.randint(0, 4))]
     iris = [Iri(t) for t in _IRI_POOL]
     subjects = iris[:3] + bnodes

@@ -71,3 +71,21 @@ def test_bench_tracer_sees_every_load(monkeypatch, tmp_path):
         assert metrics["graph.freeze_s"] > 0
         # One freeze, whatever the number of files.
         assert metrics["graph.triples"] == len(graph)
+
+
+def test_bench_tracer_times_the_check_of_validate(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    fixture = Path(rdfval.packs.__file__).parent / "data" / "fixtures" / "study-archive.nt"
+    out = tmp_path / "out"
+    tracer = layers.SpanPass()
+    code, _ = layers.traced(tracer, ["validate", "--data", str(fixture), "--pack", "ddi-rdf", "--out", str(out)])
+    assert code == 1
+    assert {"checker.check", "checker.compile", "report.render"} <= {span[0] for span in tracer.spans}
+    metrics = tracer.metrics()
+    assert metrics["checker.check_s"] > 0
+    assert (out / "violations.nt").stat().st_size > 0
+    # validate keeps its violations as graph ids and renders violations.nt
+    # from them, so the outcomes that the tracer counts hold no records.
+    assert metrics["checker.violations"] == 0

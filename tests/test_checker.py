@@ -1,11 +1,13 @@
 """Constraint compilation and outcome production on hand-built graphs."""
+import gzip
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
-from oracles import FAMILY_ORACLES, random_family_params, random_instance_graph, render_message
+from oracles import CLASSES, FAMILY_ORACLES, PROPS, random_family_params, random_instance_graph, render_message
 
 from rdfval.catalog import (
     Catalog,
@@ -27,6 +29,7 @@ from rdfval.checker import (
     TRUNCATED,
     VIOLATED,
     Violation,
+    ViolationReport,
     check,
     compile_constraint,
     mark_source_incomplete,
@@ -37,6 +40,7 @@ from rdfval.checker import (
 from rdfval.graph import Graph, GraphBuilder
 from rdfval.ntriples import serialize_ntriples
 from rdfval.packs import FIXTURES, load_fixture, load_pack
+from rdfval.cli import _read_graphs
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER
 
 EX = "urn:ex:"
@@ -556,6 +560,106 @@ def test_streamed_report_is_in_canonical_order_across_label_widths(blank):
     assert len(lines) == 5 * 1350
     prefix = b"_:vv" if blank else b"_:v"
     assert lines[0].startswith(prefix + b"0 ") and lines[-1].startswith(prefix + b"999 ")
+
+
+# ---------------------------------------------------------------------------
+# The report rendered from graph ids against the graph-building reference
+
+# Texts that a plain literal must escape, and braces that a format template
+# must not expand.
+HOSTILE_TEXTS = ['say "hi"', "back\\slash \\", "line\nbreak\r", "nul \x00 us \x1f del \x7f",
+                 "astral 🙂 𝔘", "{focus} {0} {{}} {", "C1 \x80 tab\t"]
+HOSTILE_PIECES = MESSAGE_PIECES + HOSTILE_TEXTS + ["{2:>9}", "{1!r}", "{values}", "{pattern}"]
+
+
+def rendered_from_ids(g, catalog, **kw):
+    """The outcomes and ``violations.nt`` bytes of a check that keeps its
+    violations as graph ids."""
+    report = ViolationReport(g)
+    outcomes = check(g, catalog, records=report, **kw)
+    return outcomes, b"".join(report.chunks())
+
+
+def assert_ids_render_like_records(g, catalog, **kw):
+    outcomes, got = rendered_from_ids(g, catalog, **kw)
+    recorded = check(g, catalog, **kw)
+    assert got == serialize_ntriples(violations_to_graph(recorded))
+    assert [replace(o, wall_time=0.0) for o in outcomes] == [
+        replace(o, violations=(), wall_time=0.0) for o in recorded
+    ]
+    return got
+
+
+def hostile_graph(rng):
+    """A random instance graph with hostile literal values, and blank nodes
+    labelled ``v...`` as foci and values."""
+    b = GraphBuilder()
+    for t in random_instance_graph(rng):
+        b.add(t.subject, t.predicate, t.object)
+    blanks = [BlankNode(label) for label in ("v0", "v1", "vv2", "x")]
+    literals = [Literal(t) for t in HOSTILE_TEXTS] + [
+        Literal(HOSTILE_TEXTS[0], language="en"), Literal(HOSTILE_TEXTS[1], XSD_INTEGER)
+    ]
+    for node in [*blanks, Iri("urn:ex:n0"), Iri("urn:ex:n1")]:
+        b.add(node, RDF_TYPE, rng.choice(CLASSES))
+        b.add(node, rng.choice(PROPS), rng.choice(literals))
+        b.add(node, rng.choice(PROPS), rng.choice(blanks))
+    return b.freeze()
+
+
+def test_report_from_ids_matches_the_reference_on_hostile_inputs():
+    family_ids = sorted(FAMILY_ORACLES)
+    prefixes, escapes, written = set(), 0, 0
+    for case in range(150):
+        rng = random.Random(40_000 + case)
+        g = hostile_graph(rng)
+        drawn = [(fid, random_family_params(rng, fid)) for fid in family_ids]
+        # Hostile parameters: literal values and a pattern with quotes and
+        # backslashes, each shown by its message.
+        drawn.append(("ALLOWED-VALUES", {"property": rng.choice(PROPS),
+                                         "values": (Literal(HOSTILE_TEXTS[2]), Literal(HOSTILE_TEXTS[5]))}))
+        drawn.append(("LITERAL-PATTERN-MATCHING", {"property": rng.choice(PROPS), "pattern": '^[^"\\\\]*$'}))
+        catalog = Catalog({}, tuple(
+            constraint(
+                fid,
+                params,
+                cid=f"{fid}-{i}",
+                message="".join(rng.choice(HOSTILE_PIECES) for _ in range(rng.randint(0, 6))),
+                severity=rng.choice(list(Severity)),
+            )
+            for i, (fid, params) in enumerate(drawn)
+        ))
+        got = assert_ids_render_like_records(g, catalog, limit=rng.choice((None, 2)), budget=None)
+        written += bool(got)
+        escapes += b"\\u007F" in got
+        if got:
+            prefixes.add(got.split(b" ", 1)[0].rstrip(b"0123456789"))
+    assert written > 140 and escapes > 50
+    # Reported blank nodes v0, v1 and vv2 push the report nodes to vv or vvv.
+    assert prefixes == {b"_:v", b"_:vv", b"_:vvv"}
+
+
+def test_report_from_ids_keeps_the_blank_scopes_of_merged_files(tmp_path):
+    # Each file has blank nodes labelled v0 and x; merged, each file's are
+    # f<i>.b0 and f<i>.b1, so no report node needs a longer prefix.
+    nt, ttl = tmp_path / "a.nt.gz", tmp_path / "b.ttl"
+    nt.write_bytes(gzip.compress(
+        b"_:v0 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:ex:C> .\n"
+        b"_:x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <urn:ex:C> .\n"
+        b'_:x <urn:ex:q> "two\\nlines" .\n'
+    ))
+    ttl.write_text('_:v0 a <urn:ex:C> .\n_:x a <urn:ex:C> ; <urn:ex:q> "quote \\" here" .\n', encoding="utf-8")
+    g = _read_graphs((str(nt), str(ttl)))
+    catalog = Catalog({}, (
+        constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")},
+                   cid="T-1", message="{focus} has no {path}"),
+        constraint("LITERAL-PATTERN-MATCHING", {"property": iri("q"), "pattern": "^x"},
+                   cid="T-2", message='"{value}" of {focus}'),
+    ))
+    got = assert_ids_render_like_records(g, catalog)
+    foci = {line.split(b" ")[2] for line in got.splitlines() if REPORT_ROOT.text.encode() in line}
+    assert {f.split(b".")[0] for f in foci} == {b"_:f0", b"_:f1"} and len(foci) == 4
+    assert got.startswith(b"_:v0 ")
 
 
 def test_violations_ntriples_of_nothing_is_empty():

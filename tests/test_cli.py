@@ -1,14 +1,17 @@
 """Command line behavior via click's test runner."""
 import gzip
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import rdfval.checker
+import rdfval.packs
 from mockserver import MockEndpoint
 from rdfval.catalog import CatalogError, load_catalog
 from rdfval.checker import CheckOutcome, check, violations_ntriples
-from rdfval.cli import main
+from rdfval.cli import _read_graphs, main
 from rdfval.graph import GraphBuilder
 from rdfval.graphio import load_graph
 from rdfval.ntriples import parse_ntriples
@@ -239,6 +242,55 @@ def test_validate_streams_the_report_the_checker_renders(tmp_path):
         outcomes = check(load_graph(data), load_catalog(f))
     assert sum(o.count for o in outcomes) == 1350
     assert (out / "violations.nt").read_bytes() == violations_ntriples(outcomes)
+
+
+def archive_pair(tmp_path):
+    """The study-archive fixture split into a gzipped N-Triples file and a
+    Turtle file, each with a blank node of the first typed node's class, so
+    that the merge scopes them as f0.b0 and f1.b0."""
+    fixture = Path(rdfval.packs.__file__).parent / "data" / "fixtures" / "study-archive.nt"
+    lines = fixture.read_text(encoding="utf-8").splitlines()
+    typed = next(line for line in lines if f" {RDF_TYPE_NT} " in line)
+    blank = "_:n " + typed.split(" ", 1)[1]
+    nt, ttl = tmp_path / "a.nt.gz", tmp_path / "b.ttl"
+    nt.write_bytes(gzip.compress("".join(line + "\n" for line in [*lines[::2], blank]).encode("utf-8")))
+    ttl.write_text("".join(line + "\n" for line in [*lines[1::2], blank]), encoding="utf-8")
+    return str(nt), str(ttl)
+
+
+def test_validate_writes_the_report_of_a_merged_pair(tmp_path):
+    pair = archive_pair(tmp_path)
+    out = tmp_path / "out"
+    args = ["validate", "--data", pair[0], "--data", pair[1], "--pack", "ddi-rdf", "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    outcomes = check(_read_graphs(pair), load_pack("ddi-rdf"))
+    assert sum(o.count for o in outcomes) > 100
+    report = (out / "violations.nt").read_text(encoding="utf-8")
+    assert "> _:f0.b0 ." in report and "> _:f1.b0 ." in report
+    assert (out / "violations.nt").read_bytes() == violations_ntriples(outcomes)
+
+
+def test_validate_without_out_builds_no_violation_and_renders_no_text(tmp_path, monkeypatch):
+    pair = archive_pair(tmp_path)
+    args = ["validate", "--data", pair[0], "--data", pair[1], "--pack", "ddi-rdf"]
+    written = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+    calls = []
+    for name in ("Violation", "term_text", "_display"):
+        original = getattr(rdfval.checker, name)
+        monkeypatch.setattr(
+            rdfval.checker, name, lambda *a, _name=name, _original=original: calls.append(_name) or _original(*a)
+        )
+    result = CliRunner().invoke(main, args)
+    assert calls == []
+    assert result.exit_code == written.exit_code == 1
+    # The same standard output as with --out, but for the line naming it.
+    assert result.output.splitlines() == [
+        line for line in written.output.splitlines() if not line.startswith("report written to ")
+    ]
+    # The counters see what they count: the same run with --out renders.
+    CliRunner().invoke(main, [*args, "--out", str(tmp_path / "again")])
+    assert "term_text" in calls and "Violation" not in calls
 
 
 def test_validate_with_shipped_pack(tmp_path):

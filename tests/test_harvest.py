@@ -28,6 +28,7 @@ from rdfval.harvest import (
     run_campaign,
     write_atomic,
 )
+from rdfval.ntriples import parse_ntriples, serialize_ntriples
 from rdfval.packs import load_fixture, load_pack
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER, XSD_STRING
 
@@ -730,6 +731,20 @@ def test_repeated_bindings_build_the_terms_they_name():
     assert [o for _, _, o in third] == [
         Literal(EX + "a"), Literal("x"), Literal("x", language="de"), Literal("x", XSD_INTEGER)
     ]
+
+
+def test_endpoint_labels_that_end_with_a_dot_are_relabelled():
+    # N-Triples would read such a label's final "." as the end of the
+    # statement, so it gets a fresh label that the written data keeps.
+    blanks = _EndpointBlanks()
+    kept = blanks.node("a.b")
+    fresh = [blanks.node(label) for label in ("x.", "b0.", "a..", "nodeID://n.")]
+    assert kept == BlankNode("a.b")
+    assert [n.label for n in fresh] == ["b0", "b1", "b2", "b3"]
+    b = GraphBuilder()
+    for node in (kept, *fresh):
+        b.add(node, iri("p"), iri("o"))
+    assert len(parse_ntriples(serialize_ntriples(b.freeze()))) == 5
 
 
 def test_a_uri_binding_ignores_fields_of_any_json_type():

@@ -1,5 +1,6 @@
 """Line-oriented parser and canonical serializer."""
 import random
+import time
 
 import pytest
 
@@ -61,6 +62,41 @@ def test_malformed_lines():
     ):
         with pytest.raises(ParseError):
             parse(line)
+
+
+def test_a_blank_label_does_not_end_with_a_dot():
+    # The final "." of "_:b1." ends the statement; it is no part of the label.
+    with pytest.raises(ParseError) as err:
+        parse("_:b1 <urn:ex:p> <urn:ex:o> .\n_:b1. <urn:ex:p> <urn:ex:o> .\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError):
+        parse("<urn:ex:s> <urn:ex:p> _:b1. .\n")
+    g = parse("<urn:ex:s> <urn:ex:p> _:b1.\n<urn:ex:s> <urn:ex:q> _:b1 .\n<urn:ex:s> <urn:ex:q> _:b1.a .\n")
+    s, p, q = Iri("urn:ex:s"), Iri("urn:ex:p"), Iri("urn:ex:q")
+    b0, b1 = BlankNode("b0"), BlankNode("b1")
+    assert set(g) == {Triple(s, p, b0), Triple(s, q, b0), Triple(s, q, b1)}
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("_:a" + "." * 40_000 + "b <urn:ex:p> <urn:ex:o> .\n", False),  # one label with a long dot run
+        ("_:a" + "." * 40_000 + " <urn:ex:p> <urn:ex:o> .\n", True),
+        ("<urn:ex:s> <urn:ex:p> _:a" + "." * 40_000 + "\n", True),
+        ("<urn:ex:s> <urn:ex:p> _:a" + ".-" * 40_000 + ". .\n", True),
+    ],
+    ids=["dots-in-label", "dots-after-subject", "dots-after-object", "dot-hyphen-runs"],
+)
+def test_long_runs_are_read_in_linear_time(text, error):
+    start = time.perf_counter()
+    try:
+        g = parse(text)
+    except ParseError:
+        assert error
+    else:
+        assert not error and len(g) == 1
+    # A scan repeated from each character takes seconds here.
+    assert time.perf_counter() - start < 1.0
 
 
 def test_blank_nodes_are_renamed_in_first_seen_order():

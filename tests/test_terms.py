@@ -34,9 +34,10 @@ def test_iri_rejects_forbidden_characters():
 
 
 def test_blank_node_labels():
-    for ok in ("a", "0start", "a.b-c_9", "dot.", "_u"):
+    for ok in ("a", "0start", "a.b-c_9", "dot..run", "_u"):
         assert BlankNode(ok).label == ok
-    for bad in ("", "-lead", ".lead", "sp ace", "bad!"):
+    # N-Triples would read a final "." as the end of the statement.
+    for bad in ("", "-lead", ".lead", "sp ace", "bad!", "dot.", "a..", "a\n"):
         with pytest.raises(ValueError):
             BlankNode(bad)
 
