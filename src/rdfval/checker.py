@@ -486,15 +486,21 @@ def _run_constraint(g: Graph, c: Constraint, limit: int | None, budget: float | 
             c.id, ENGINE_FAILURE, reason=f"compile: {exc.reason}", wall_time=time.monotonic() - start
         )
     term = g.term
+    # A path that is no IRI, which only DIMENSION-COMPLETENESS binds (a
+    # literal or blank qb:dimension), is reported as none.
+    path_at = built.columns.index(built.path) if isinstance(built.path, Variable) else None
 
     # A row is its own key: the focus id, then the path and value ids (or
-    # count literal) where the plan binds them.  Each key is judged once; a
-    # missing or literal focus is no violation.
+    # count literal) where the plan binds them, with None for a path that
+    # is no IRI.  Each key is judged once; a missing or literal focus is no
+    # violation.
     seen: set[tuple] = set()
     kept: list[tuple] = []
     truncated = False
     try:
         for key in run_plan(g, built, deadline=deadline):
+            if path_at is not None and (x := key[path_at]) is not None and not isinstance(term(x), Iri):
+                key = (*key[:path_at], None, *key[path_at + 1 :])
             if key in seen:
                 continue
             seen.add(key)
@@ -547,15 +553,13 @@ class ViolationReport:
     them.
     """
 
-    __slots__ = ("_graph", "_texts", "_paths", "_heads", "_starts", "_cells")
+    __slots__ = ("_graph", "_texts", "_heads", "_starts", "_cells")
 
     def __init__(self, graph: Graph):
         self._graph = graph
-        # Focus and value texts, so that the report's blank labels are
-        # exactly those of its foci and values.
+        # Focus, path and value texts.  A path is an IRI or none, so the
+        # report's blank labels are exactly those of its foci and values.
         self._texts: dict = {None: _NO_TEXTS}
-        # Path texts, apart: a path that is no IRI has the empty texts.
-        self._paths: dict = {None: _NO_TEXTS}
         # Per constraint with kept violations, its head (see ``_chunks``)
         # and the number of its first violation; per violation, its focus,
         # path and value texts, one after another.
@@ -566,31 +570,24 @@ class ViolationReport:
     def _ordered(self, built: Plan, keys: list[tuple]) -> list[tuple]:
         """The (focus, path, value) texts of each key, in report order."""
         term = self._graph.term
-        texts, paths = self._texts, self._paths
+        texts = self._texts
 
         def of(x) -> tuple:
             t = texts[x] = _term_texts(term(x) if x.__class__ is int else x)
             return t
 
-        def path_of(x) -> tuple:
-            # Every compiler but DIMENSION-COMPLETENESS binds its path
-            # variable in predicate position, where only IRIs occur.
-            t = term(x) if x.__class__ is int else x
-            t = paths[x] = _term_texts(t) if isinstance(t, Iri) else _NO_TEXTS
-            return t
-
         columns = built.columns
         path_at = columns.index(built.path) if isinstance(built.path, Variable) else None
         value_at = columns.index(built.value) if isinstance(built.value, Variable) else None
-        text, path_text = texts.get, paths.get
-        path = None if path_at is not None else path_text(built.path) or path_of(built.path)
+        text = texts.get
+        path = None if path_at is not None else text(built.path) or of(built.path)
         value = None if value_at is not None else text(built.value) or of(built.value)
         # Each row leads with its sort key, so that the sort compares
         # tuples built here rather than calling back per row.
         rows = []
         for key in keys:
             f = text(key[0]) or of(key[0])
-            p = path or path_text(key[path_at]) or path_of(key[path_at])
+            p = path or text(key[path_at]) or of(key[path_at])
             v = value or text(key[value_at]) or of(key[value_at])
             rows.append(((f[0], f[1], p[0], v[0], v[1]), f, p, v))
         rows.sort(key=itemgetter(0))

@@ -638,48 +638,99 @@ class _Compiler:
         return _ABSENT in (self.row[s] for s in key)
 
     def scan(self, step: _Scan, nxt):
-        # Scans that bind one slot or none and check nothing, the common
-        # shapes, loop without a generator.
-        if step.same or len(step.binds) > 1 or self.absent(step):
+        # Scans that bind up to two slots and check nothing, the common
+        # shapes, loop over the ids the index hands out without a generator.
+        if step.same or len(step.binds) > 2 or self.absent(step):
             return _push(self.scan_rows(step), nxt)
-        (s, p, o), match, tick = step.key, self.g.match_ids, self.tick
+        (s, p, o), values, tick = step.key, self.g.values, self.tick
         if not step.binds:
+            # Every position is bound: a triple matches once or not at all.
 
             def probe(row: list) -> bool:
-                for _ in match(row[s], row[p], row[o]):
+                if len(values(row[s], row[p], row[o], 2)):
                     tick()
+                    return nxt(row)
+                return False
+
+            return probe
+        if len(step.binds) == 1:
+            ((pos, slot),) = step.binds
+
+            def scan(row: list) -> bool:
+                for v in values(row[s], row[p], row[o], pos):
+                    tick()
+                    row[slot] = v
                     if nxt(row):
                         return True
                 return False
 
-            return probe
-        ((pos, slot),) = step.binds
+            return scan
+        (pos, slot), (pos2, slot2) = step.binds
 
-        def scan(row: list) -> bool:
-            for m in match(row[s], row[p], row[o]):
+        def scan2(row: list) -> bool:
+            a, b, c = row[s], row[p], row[o]
+            for v, v2 in zip(values(a, b, c, pos), values(a, b, c, pos2)):
                 tick()
-                row[slot] = m[pos]
+                row[slot] = v
+                row[slot2] = v2
                 if nxt(row):
                     return True
             return False
 
-        return scan
+        return scan2
 
     def scan_rows(self, step: _Scan):
         """A generator function that yields the row once per match, with
         the step's slots bound."""
         if self.absent(step):
             return lambda row: ()
-        (s, p, o), binds, same = step.key, step.binds, step.same
-        match, tick = self.g.match_ids, self.tick
+        (s, p, o), binds, same, tick = step.key, step.binds, step.same, self.tick
+        if same:
+            match = self.g.match_ids
+
+            def rows(row: list):
+                for m in match(row[s], row[p], row[o]):
+                    tick()
+                    if any(m[i] != m[j] for i, j in same):
+                        continue
+                    for pos, slot in binds:
+                        row[slot] = m[pos]
+                    yield row
+
+            return rows
+        values = self.g.values
+        if len(binds) == 1:
+            ((pos, slot),) = binds
+
+            def rows(row: list):
+                for v in values(row[s], row[p], row[o], pos):
+                    tick()
+                    row[slot] = v
+                    yield row
+
+            return rows
+        if len(binds) == 2:
+            (pos, slot), (pos2, slot2) = binds
+
+            def rows(row: list):
+                a, b, c = row[s], row[p], row[o]
+                for v, v2 in zip(values(a, b, c, pos), values(a, b, c, pos2)):
+                    tick()
+                    row[slot] = v
+                    row[slot2] = v2
+                    yield row
+
+            return rows
 
         def rows(row: list):
-            for m in match(row[s], row[p], row[o]):
+            key = row[s], row[p], row[o]
+            # No position bound, or every one: then one column of the
+            # match, if any.
+            columns = [values(*key, pos) for pos, _ in binds] or [values(*key, 2)]
+            for found in zip(*columns):
                 tick()
-                if same and any(m[i] != m[j] for i, j in same):
-                    continue
-                for pos, slot in binds:
-                    row[slot] = m[pos]
+                for (_, slot), v in zip(binds, found):
+                    row[slot] = v
                 yield row
 
         return rows
@@ -691,11 +742,11 @@ class _Compiler:
         if self.absent(step):
             return lambda row: ()
         pid = self.row[self.slots[step.property]]
-        slot, depth, match, tick = self.slots[step.variable], step.max_depth, self.g.match_ids, self.tick
+        slot, depth, values, tick = self.slots[step.variable], step.max_depth, self.g.values, self.tick
 
         def rows(row: list):
             succ: dict[int, list[int]] = {}
-            for s, _, o in match(None, pid, None):
+            for s, o in zip(values(None, pid, None, 0), values(None, pid, None, 2)):
                 succ.setdefault(s, []).append(o)
             for start in sorted(succ):
                 tick()

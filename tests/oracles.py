@@ -761,7 +761,7 @@ def random_instance_graph(rng) -> Graph:
         elif kind < 0.85:
             b.add(s, rng.choice(PROPS), rng.choice(LITERALS))
             made += 1
-        elif kind < 0.92 or made + 5 > n_triples:
+        elif kind < 0.92 or made + 7 > n_triples:
             b.add(s, SKOS_IN_SCHEME, rng.choice(SCHEMES))
             made += 1
         else:
@@ -770,15 +770,23 @@ def random_instance_graph(rng) -> Graph:
                 rng.choice(nodes),
                 rng.choice(nodes),
             )
-            dim = rng.choice(PROPS)
             b.add(s, QB_DATA_SET, ds)
             b.add(ds, QB_STRUCTURE, dsd)
             b.add(dsd, QB_COMPONENT, comp)
-            b.add(comp, QB_DIMENSION, dim)
-            made += 4
-            if rng.random() < 0.5:
-                b.add(s, dim, rng.choice(nodes))
+            made += 3
+            # One or two dimensions: mostly properties, now and then a
+            # literal or a node, which may be blank.
+            for _ in range(rng.choice((1, 1, 2))):
+                roll = rng.random()
+                if roll < 0.7:
+                    dim = rng.choice(PROPS)
+                else:
+                    dim = rng.choice(LITERALS) if roll < 0.85 else rng.choice(nodes)
+                b.add(comp, QB_DIMENSION, dim)
                 made += 1
+                if isinstance(dim, Iri) and rng.random() < 0.5:
+                    b.add(s, dim, rng.choice(nodes))
+                    made += 1
     return b.freeze(name="random")
 
 

@@ -123,7 +123,7 @@ def test_checker_families_agree_with_bruteforce_oracle():
             assert outcome.status in ("ok", "violated"), (case, fid, outcome)
             got = {(v.focus, v.path, v.value) for v in outcome.violations}
             want = family_violations(facts, fid, params)
-            if got != want:
+            if got != want or outcome.count != len(want):
                 mismatches.append((case, fid, params))
     elapsed = time.perf_counter() - started
     assert mismatches == []

@@ -1,6 +1,6 @@
 """What a validating process loads and builds: no HTTP stack (and a
-campaign needs no HTTP library beyond the standard one), word-array
-indexes with a list fallback, an OSP index built on first use, no
+campaign needs no HTTP library beyond the standard one), lookups that
+agree with a brute-force scan, an OSP index built on first use, no
 pipeline compiled past an outermost scan that can match nothing, result
 rows of raw ids rather than Term dicts, outcome records without a
 per-instance dict, and a violation report that is never held whole."""
@@ -12,13 +12,11 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from array import array
 from pathlib import Path
 
 import pytest
 
 import rdfval
-from rdfval import graph as graph_module
 from rdfval.catalog import Severity
 from rdfval.checker import CheckOutcome, Violation, check, compile_constraint, violation_chunks
 from rdfval.graph import Graph, GraphBuilder
@@ -90,7 +88,7 @@ def _random_triples(rng: random.Random) -> list[tuple]:
     return [(rng.choice(nodes), rng.choice(props), rng.choice(objects)) for _ in range(rng.randint(0, 60))]
 
 
-def _agrees_with_brute_force(triples: list[tuple], rng: random.Random) -> Graph:
+def _agrees_with_brute_force(triples: list[tuple], rng: random.Random) -> None:
     b = GraphBuilder()
     for t in triples:
         b.add(*t)
@@ -107,17 +105,66 @@ def _agrees_with_brute_force(triples: list[tuple], rng: random.Random) -> Graph:
             got = _spo(g.match(s, p, o))
             assert len(got) == len(expected) and set(got) == expected, (s, p, o)
             assert g.count(s, p, o) == len(expected), (s, p, o)
-    return g
+            ids = [None if t is None else g.term_id(t) for t in (s, p, o)]
+            if None in (ids[i] for i in range(3) if shape[i]):
+                continue
+            # values reads each position of the rows of match_ids, in order.
+            rows = list(g.match_ids(*ids))
+            assert [tuple(map(g.term, row)) for row in rows] == got, (s, p, o)
+            for pos in range(3):
+                assert list(g.values(*ids, pos)) == [row[pos] for row in rows], (s, p, o, pos)
 
 
-@pytest.mark.parametrize("min_bits, container", [(21, array), (22, list)])
-def test_match_and_count_agree_with_brute_force(monkeypatch, min_bits, container):
-    # Three 22-bit positions no longer fit in a 64-bit word.
-    monkeypatch.setattr(graph_module, "_MIN_BITS", min_bits)
-    rng = random.Random(min_bits)
-    for _ in range(40):
-        g = _agrees_with_brute_force(_random_triples(rng), rng)
-        assert type(g._spo) is container and type(g._pos) is container
+def test_match_and_count_agree_with_brute_force():
+    rng = random.Random(21)
+    for _ in range(80):
+        _agrees_with_brute_force(_random_triples(rng), rng)
+
+
+@pytest.mark.parametrize("n", [200, 300, 70_000])
+def test_ids_of_every_width_read_back(n):
+    # Past 256 and 65,536 distinct terms, ids take two and three bytes.
+    nodes = [Iri(f"urn:ex:n{i}") for i in range(n)]
+    props = [Iri(f"urn:ex:p{k}") for k in range(3)]
+    triples = {(nodes[i], props[i % 3], nodes[(i * 7919 + 3) % n]) for i in range(0, n, 2)}
+    b = GraphBuilder()
+    for t in sorted(triples, key=repr):
+        b.add(*t)
+    g = b.freeze()
+    assert set(_spo(g)) == triples
+    assert set(_spo(g.match(None, props[1], None))) == {t for t in triples if t[1] == props[1]}
+    rows = sorted(tuple(map(g.term_id, t)) for t in triples)
+    assert list(g.match_ids(None, None, None)) == rows
+    s, p, o = rows[-1]
+    assert list(g.values(s, None, None, 2)) == [row[2] for row in rows if row[0] == s]
+    assert list(g.values(None, p, o, 0)) == sorted(row[0] for row in rows if row[1:] == (p, o))
+
+
+def test_values_cannot_change_the_graph():
+    rng = random.Random(4)
+    b = GraphBuilder()
+    for t in _random_triples(rng) + [(Iri("urn:ex:n0"), Iri("urn:ex:p0"), Literal("x"))]:
+        b.add(*t)
+    g = b.freeze()
+    before = list(g.match_ids(None, None, None))
+    s, p, o = before[0]
+    for key in ((None, None, None), (s, None, None), (None, p, None), (None, None, o), (s, p, None)):
+        for pos in range(3):
+            got = g.values(*key, pos)
+            try:
+                got[0] = got[0] + 1
+            except TypeError:
+                pass
+    assert list(g.match_ids(None, None, None)) == before
+
+
+def test_a_graph_holds_at_most_two_to_the_32_terms():
+    class Many(list):
+        def __len__(self):
+            return (1 << 32) + 1
+
+    with pytest.raises(ValueError, match=r"2\*\*32 distinct terms"):
+        Graph(Many(), {}, [])
 
 
 def test_racing_first_object_lookups_all_see_the_whole_index():
