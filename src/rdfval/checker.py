@@ -16,12 +16,12 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import partial
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .catalog import PLACEHOLDER_RE, Catalog, Constraint, IMPLEMENTED, Severity
 from .graph import Graph, GraphBuilder
+from .ntriples import serialize_ntriples
 from .query import (
     And,
     BudgetExceeded,
@@ -540,6 +540,22 @@ def _term_texts(term: Term) -> tuple:
     return (display, term.__class__.__name__, term_text(term), escape_literal(display), term)
 
 
+# Report nodes per chunk of ``ViolationReport.chunks``: about 100 KB of
+# text on the shipped packs' reports, so the file is written in few calls
+# and is never held whole.
+_CHUNK_BLOCKS = 256
+
+_ROOT_P = f" {term_text(REPORT_ROOT)} "
+_PATH_P = f" {term_text(REPORT_PATH)} "
+_VALUE_P = f" {term_text(REPORT_VALUE)} "
+_MESSAGE_P = f' {term_text(REPORT_MESSAGE)} "'
+_SEVERITY_TAILS = {s: f" {term_text(REPORT_SEVERITY)} {plain_literal_text(s.json_name)} ." for s in Severity}
+
+
+def _constraint_tail(constraint_id: str) -> str:
+    return f" {term_text(REPORT_CONSTRAINT)} {plain_literal_text(constraint_id)} ."
+
+
 class ViolationReport:
     """The kept violations of one check run, as the texts they are
     reported with.
@@ -560,7 +576,7 @@ class ViolationReport:
         # Focus, path and value texts.  A path is an IRI or none, so the
         # report's blank labels are exactly those of its foci and values.
         self._texts: dict = {None: _NO_TEXTS}
-        # Per constraint with kept violations, its head (see ``_chunks``)
+        # Per constraint with kept violations, its head (see ``chunks``)
         # and the number of its first violation; per violation, its focus,
         # path and value texts, one after another.
         self._heads: list[tuple] = []
@@ -615,10 +631,40 @@ class ViolationReport:
 
     def chunks(self) -> Iterator[bytes]:
         """``violations.nt`` of the kept violations, as UTF-8 chunks: the
-        bytes ``violation_chunks`` writes for the outcomes of the same
-        check run with violation records."""
-        prefix = _report_prefix(t[4] for t in self._texts.values())
-        return _chunks(self._heads, self._starts, self._cells, prefix)
+        bytes of ``violations_ntriples`` for the outcomes of the same check
+        run with violation records.  One node ``_:<prefix><n>`` stands for
+        violation ``n``.
+
+        Violation ``n`` has the texts ``_cells[3n:3n + 3]`` of its focus,
+        path and value, and the head ``_heads[i]`` of the last
+        ``_starts[i]`` at or before ``n``: its constraint line, its severity
+        line, and a function from the escaped display texts of focus, path
+        and value to its escaped message.
+
+        Every line of node ``n`` starts with its label and a space, labels
+        are distinct, and a space sorts below every digit.  So visiting the
+        violations in the string order of their numbers (``v1`` < ``v10`` <
+        ``v2``) and writing each node's lines in predicate order gives the
+        canonical line order, with no sort of the lines."""
+        heads, starts, cells = self._heads, self._starts, self._cells
+        prefix = f"_:{_report_prefix(t[4] for t in self._texts.values())}"
+        order = sorted(range(len(cells) // 3), key=str)
+        for start in range(0, len(order), _CHUNK_BLOCKS):
+            blocks = []
+            for n in order[start : start + _CHUNK_BLOCKS]:
+                constraint, severity, message = heads[bisect_right(starts, n) - 1]
+                focus, path, value = cells[3 * n : 3 * n + 3]
+                node = f"{prefix}{n}"
+                sep = f"\n{node}"
+                block = f'{node}{constraint}{sep}{_MESSAGE_P}{message(focus[3], path[3], value[3])}" .'
+                if path[2] is not None:
+                    block = f"{block}{sep}{_PATH_P}{path[2]} ."
+                block = f"{block}{sep}{_ROOT_P}{focus[2]} .{sep}{severity}"
+                if value[2] is not None:
+                    block = f"{block}{sep}{_VALUE_P}{value[2]} ."
+                blocks.append(block)
+            blocks.append("")  # the chunk's final newline
+            yield "\n".join(blocks).encode("utf-8")
 
 
 def check(
@@ -691,8 +737,8 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     are ``_:v0``, ``_:v1``, ... unless a reported blank label starts with
     ``v`` (see ``_report_prefix``).
 
-    ``violation_chunks`` writes the same triples without building the
-    graph."""
+    ``ViolationReport.chunks`` writes the same triples without building
+    the graph or violation records."""
     b = GraphBuilder()
     prefix = _report_prefix(t for outcome in outcomes for v in outcome.violations for t in (v.focus, v.value))
     n = 0
@@ -711,86 +757,6 @@ def violations_to_graph(outcomes: list[CheckOutcome]) -> Graph:
     return b.freeze(name="violations")
 
 
-# Report nodes per chunk of ``_chunks``: about 100 KB of text on
-# the shipped packs' reports, so the file is written in few calls and is
-# never held whole.
-_CHUNK_BLOCKS = 256
-
-_ROOT_P = f" {term_text(REPORT_ROOT)} "
-_PATH_P = f" {term_text(REPORT_PATH)} "
-_VALUE_P = f" {term_text(REPORT_VALUE)} "
-_MESSAGE_P = f' {term_text(REPORT_MESSAGE)} "'
-_SEVERITY_TAILS = {s: f" {term_text(REPORT_SEVERITY)} {plain_literal_text(s.json_name)} ." for s in Severity}
-
-
-def _constraint_tail(constraint_id: str) -> str:
-    return f" {term_text(REPORT_CONSTRAINT)} {plain_literal_text(constraint_id)} ."
-
-
-def _chunks(heads: list, starts: Sequence[int], cells: list, prefix: str) -> Iterator[bytes]:
-    """The report as UTF-8 chunks: one node ``_:<prefix><n>`` per violation.
-
-    Violation ``n`` has the texts ``cells[3n:3n + 3]`` of its focus, path
-    and value, and the head ``heads[i]`` of the last ``starts[i]`` at or
-    before ``n``: its constraint line, its severity line, and a function
-    from the escaped display texts of focus, path and value to its escaped
-    message.
-
-    Every line of node ``n`` starts with its label and a space, labels are
-    distinct, and a space sorts below every digit.  So visiting the
-    violations in the string order of their numbers (``v1`` < ``v10`` <
-    ``v2``) and writing each node's lines in predicate order gives the
-    canonical line order, with no sort of the lines."""
-    prefix = f"_:{prefix}"
-    order = sorted(range(len(cells) // 3), key=str)
-    for start in range(0, len(order), _CHUNK_BLOCKS):
-        blocks = []
-        for n in order[start : start + _CHUNK_BLOCKS]:
-            constraint, severity, message = heads[bisect_right(starts, n) - 1]
-            focus, path, value = cells[3 * n : 3 * n + 3]
-            node = f"{prefix}{n}"
-            sep = f"\n{node}"
-            block = f'{node}{constraint}{sep}{_MESSAGE_P}{message(focus[3], path[3], value[3])}" .'
-            if path[2] is not None:
-                block = f"{block}{sep}{_PATH_P}{path[2]} ."
-            block = f"{block}{sep}{_ROOT_P}{focus[2]} .{sep}{severity}"
-            if value[2] is not None:
-                block = f"{block}{sep}{_VALUE_P}{value[2]} ."
-            blocks.append(block)
-        blocks.append("")  # the chunk's final newline
-        yield "\n".join(blocks).encode("utf-8")
-
-
-def _fixed_message(message: str, *texts: str) -> str:
-    """A record's message, escaped: it is no template of the texts."""
-    return escape_literal(message)
-
-
-def violation_chunks(outcomes: list[CheckOutcome]) -> Iterator[bytes]:
-    """``serialize_ntriples(violations_to_graph(outcomes))`` as UTF-8
-    chunks, written straight from the violation records, with no graph
-    built and no sort of the lines."""
-    texts: dict = {None: _NO_TEXTS}
-    constraints: dict[str, str] = {}
-
-    def of(term) -> tuple:
-        t = texts.get(term)
-        if t is None:
-            t = texts[term] = _term_texts(term)
-        return t
-
-    heads, cells = [], []
-    for outcome in outcomes:
-        for v in outcome.violations:
-            constraint = constraints.get(v.constraint_id)
-            if constraint is None:
-                constraint = constraints[v.constraint_id] = _constraint_tail(v.constraint_id)
-            heads.append((constraint, _SEVERITY_TAILS[v.severity], partial(_fixed_message, v.message)))
-            cells += (of(v.focus), of(v.path), of(v.value))
-    return _chunks(heads, range(len(heads)), cells, _report_prefix(t[4] for t in texts.values()))
-
-
 def violations_ntriples(outcomes: list[CheckOutcome]) -> bytes:
-    """The bytes of ``violation_chunks(outcomes)``: the canonical N-Triples
-    of ``violations_to_graph(outcomes)``."""
-    return b"".join(violation_chunks(outcomes))
+    """The canonical N-Triples of ``violations_to_graph(outcomes)``."""
+    return serialize_ntriples(violations_to_graph(outcomes))

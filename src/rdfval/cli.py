@@ -326,3 +326,7 @@ def lint(catalog_path, pack) -> None:
         where = finding.constraint_id or "<catalog>"
         click.echo(f"{where}: {finding.kind}: {finding.detail}")
     click.echo(f"{len(findings)} finding(s)")
+
+
+if __name__ == "__main__":
+    main(prog_name="rdfval")

@@ -313,9 +313,6 @@ class GraphBuilder:
             raise ValueError("triple predicate must be an IRI")
         self.add_ids(self.intern(s), self.intern(p), self.intern(o))
 
-    def __len__(self) -> int:
-        return len(self._flat) // 3
-
     def freeze(self, name: str | None = None) -> Graph:
         if self._frozen:
             raise RuntimeError("builder already frozen")

@@ -9,11 +9,10 @@ bytewise.
 from __future__ import annotations
 
 import re
-from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graph import Graph, GraphBuilder
-from .terms import BlankNode, Iri, Literal, Triple, XSD_STRING, term_text, triple_text
+from .terms import BlankNode, Iri, Literal, XSD_STRING, term_text
 
 
 class ParseError(ValueError):
@@ -227,30 +226,19 @@ def make_literal(
         raise ParseError(line, column, str(exc)) from None
 
 
-def canonical_lines(lines: Iterable[str]) -> bytes:
-    """Canonical N-Triples bytes from triple lines without newlines:
-    unique lines, sorted by code point (which is UTF-8 byte order).
+def serialize_ntriples(g: Graph) -> bytes:
+    """Canonical N-Triples bytes: one line per triple, sorted by code point
+    (which is UTF-8 byte order).
 
-    The lines are sorted as they arrive, so the runs already in order are
-    merged rather than sorted again; repeats are then neighbours."""
-    unique = [line for line, _ in groupby(sorted(lines))]
-    if not unique:
-        return b""
-    unique.append("")  # the final newline
-    text = "\n".join(unique)
-    # Given a generator, the lines are freed here, before the encoded copy.
-    del unique
+    The lines are written from the graph's ids and interned terms, which it
+    checked when they were built.  They are unique, since the triples are
+    distinct and ``term_text`` is injective on terms."""
+    lines = sorted(_graph_lines(g))
+    lines.append("")  # the final newline; an empty graph is no bytes
+    text = "\n".join(lines)
+    # The lines are freed here, before the encoded copy.
+    del lines
     return text.encode("utf-8")
-
-
-def serialize_ntriples(g: Graph | Iterable[Triple]) -> bytes:
-    """Canonical N-Triples bytes: sorted unique lines, one triple each.
-
-    A graph's lines are written from its ids and interned terms, which it
-    checked when they were built."""
-    if isinstance(g, Graph):
-        return canonical_lines(_graph_lines(g))
-    return canonical_lines(triple_text(t) for t in g)
 
 
 def _graph_lines(g: Graph) -> Iterator[str]:

@@ -179,10 +179,3 @@ def term_text(term: Term) -> str:
             return body
         return f"{body}^^<{term.datatype.text}>"
     raise TypeError(f"not a term: {term!r}")
-
-
-def triple_text(t: Triple) -> str:
-    """One canonical N-Triples line, without the newline."""
-    return (
-        f"{term_text(t.subject)} {term_text(t.predicate)} {term_text(t.object)} ."
-    )

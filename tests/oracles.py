@@ -1080,6 +1080,19 @@ def random_serializable_graph(rng) -> Graph:
     return b.freeze(name="roundtrip")
 
 
+def triple_text(t) -> str:
+    """One canonical N-Triples line, without the newline."""
+    return f"{term_text(t.subject)} {term_text(t.predicate)} {term_text(t.object)} ."
+
+
+def ntriples_of(triples) -> bytes:
+    """The reference for ``serialize_ntriples``: canonical N-Triples of any
+    iterable of triples, repeats allowed, as each distinct line once,
+    sorted, each with its newline."""
+    lines = sorted({triple_text(t) for t in triples})
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
 def _triple_key(t, naming):
     def one(term):
         if isinstance(term, BlankNode):

@@ -7,7 +7,15 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import CLASSES, FAMILY_ORACLES, PROPS, random_family_params, random_instance_graph, render_message
+from oracles import (
+    CLASSES,
+    FAMILY_ORACLES,
+    PROPS,
+    ntriples_of,
+    random_family_params,
+    random_instance_graph,
+    render_message,
+)
 from test_query import count_index_reads
 
 from rdfval.catalog import (
@@ -34,7 +42,6 @@ from rdfval.checker import (
     check,
     compile_constraint,
     mark_source_incomplete,
-    violation_chunks,
     violations_ntriples,
     violations_to_graph,
 )
@@ -455,19 +462,36 @@ def test_unlimited_and_unbudgeted_check():
 
 
 # ---------------------------------------------------------------------------
-# violations_ntriples against the graph-building reference
+# violations.nt, from graph ids and from records, against the reference
 
 
 def reference_ntriples(outcomes):
-    # Through Triple, triple_text and a sort of every line: none of them is
-    # on the path of the streamed writer.
-    return serialize_ntriples(list(violations_to_graph(outcomes)))
+    # Through Triple, triple_text and a sort of every line in the oracle:
+    # none of them is on the path of either writer.
+    return ntriples_of(violations_to_graph(outcomes))
+
+
+def rendered_from_ids(g, catalog, **kw):
+    """The outcomes and ``violations.nt`` bytes of a check that keeps its
+    violations as graph ids."""
+    report = ViolationReport(g)
+    outcomes = check(g, catalog, records=report, **kw)
+    return outcomes, b"".join(report.chunks())
+
+
+def assert_ids_render_like_records(g, catalog, **kw):
+    outcomes, got = rendered_from_ids(g, catalog, **kw)
+    recorded = check(g, catalog, **kw)
+    assert got == violations_ntriples(recorded) == reference_ntriples(recorded)
+    assert [replace(o, wall_time=0.0) for o in outcomes] == [
+        replace(o, violations=(), wall_time=0.0) for o in recorded
+    ]
+    return got
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_violations_ntriples_matches_reference_on_fixtures(name):
-    outcomes = check(load_fixture(name), load_pack(FIXTURES[name]))
-    assert violations_ntriples(outcomes) == reference_ntriples(outcomes)
+    assert_ids_render_like_records(load_fixture(name), load_pack(FIXTURES[name]))
 
 
 def test_violations_ntriples_matches_reference_on_random_graphs():
@@ -490,9 +514,7 @@ def test_violations_ntriples_matches_reference_on_random_graphs():
                 for i, fid in enumerate(family_ids)
             ),
         )
-        outcomes = check(g, catalog, limit=rng.choice((None, 3)), budget=None)
-        got = violations_ntriples(outcomes)
-        assert got == reference_ntriples(outcomes), case
+        got = assert_ids_render_like_records(g, catalog, limit=rng.choice((None, 3)), budget=None)
         written += bool(got)
     assert written > 200
 
@@ -561,12 +583,14 @@ def test_streamed_report_is_in_canonical_order_across_label_widths(blank):
                    severity=Severity.WARNING),
         constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("r")}, cid="T-3"),
     ))
-    outcomes = check(g, catalog, limit=None, budget=None)
+    report = ViolationReport(g)
+    outcomes = check(g, catalog, limit=None, budget=None, records=report)
     assert sum(o.count for o in outcomes) == 1350
-    chunks = list(violation_chunks(outcomes))
+    chunks = list(report.chunks())
     assert len(chunks) > 1
     got = b"".join(chunks)
-    assert got == reference_ntriples(outcomes) == violations_ntriples(outcomes)
+    recorded = check(g, catalog, limit=None, budget=None)
+    assert got == reference_ntriples(recorded) == violations_ntriples(recorded)
     lines = got.split(b"\n")
     assert lines.pop() == b""
     assert lines == sorted(set(lines))
@@ -583,24 +607,6 @@ def test_streamed_report_is_in_canonical_order_across_label_widths(blank):
 HOSTILE_TEXTS = ['say "hi"', "back\\slash \\", "line\nbreak\r", "nul \x00 us \x1f del \x7f",
                  "astral 🙂 𝔘", "{focus} {0} {{}} {", "C1 \x80 tab\t"]
 HOSTILE_PIECES = MESSAGE_PIECES + HOSTILE_TEXTS + ["{2:>9}", "{1!r}", "{values}", "{pattern}"]
-
-
-def rendered_from_ids(g, catalog, **kw):
-    """The outcomes and ``violations.nt`` bytes of a check that keeps its
-    violations as graph ids."""
-    report = ViolationReport(g)
-    outcomes = check(g, catalog, records=report, **kw)
-    return outcomes, b"".join(report.chunks())
-
-
-def assert_ids_render_like_records(g, catalog, **kw):
-    outcomes, got = rendered_from_ids(g, catalog, **kw)
-    recorded = check(g, catalog, **kw)
-    assert got == serialize_ntriples(violations_to_graph(recorded))
-    assert [replace(o, wall_time=0.0) for o in outcomes] == [
-        replace(o, violations=(), wall_time=0.0) for o in recorded
-    ]
-    return got
 
 
 def hostile_graph(rng):
@@ -678,5 +684,8 @@ def test_report_from_ids_keeps_the_blank_scopes_of_merged_files(tmp_path):
 def test_violations_ntriples_of_nothing_is_empty():
     assert violations_ntriples([]) == b""
     assert violations_ntriples([CheckOutcome("T-1", OK)]) == b""
-    assert list(violation_chunks([])) == []
     assert reference_ntriples([]) == b""
+    g = graph((iri("a"), RDF_TYPE, iri("D")))
+    c = constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")})
+    outcomes, got = rendered_from_ids(g, Catalog({}, (c,)))
+    assert [o.status for o in outcomes] == [OK] and got == b""

@@ -1,6 +1,9 @@
 """Command line behavior via click's test runner."""
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -510,6 +513,19 @@ def test_version():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "version" in result.output
+
+
+@pytest.mark.parametrize("module", ["rdfval", "rdfval.cli"])
+def test_python_dash_m_runs_the_command(module, tmp_path):
+    src = str(Path(rdfval.checker.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    missing = tmp_path / "missing.nt"
+    result = subprocess.run(
+        [sys.executable, "-m", module, "validate", "--data", str(missing), "--pack", "ddi-rdf"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, (result.stdout, result.stderr)
+    assert result.stderr.startswith("Usage: rdfval validate ") and str(missing) in result.stderr
 
 
 def test_color_toggle(tmp_path):

@@ -17,13 +17,13 @@ from pathlib import Path
 import pytest
 
 import rdfval
-from rdfval.catalog import Severity
-from rdfval.checker import CheckOutcome, Violation, check, compile_constraint, violation_chunks
+from rdfval.catalog import Catalog, Constraint, FAMILIES, IMPLEMENTED, Severity
+from rdfval.checker import ViolationReport, check, compile_constraint
 from rdfval.graph import Graph, GraphBuilder
 from rdfval.harvest import write_atomic
 from rdfval.packs import FIXTURES, PACKS, load_fixture, load_pack
 from rdfval.query import _Compiler, run_plan
-from rdfval.terms import BlankNode, Iri, Literal, XSD_INTEGER
+from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER
 from test_golden import CAMPAIGN_GOLDEN
 
 SRC = Path(rdfval.__file__).resolve().parents[1]
@@ -260,21 +260,35 @@ def test_outcome_and_violation_records_have_no_instance_dict():
 
 
 def test_writing_the_violation_report_never_holds_it_whole(tmp_path):
-    message = "m" * 2_000
-    outcomes = [
-        CheckOutcome(cid, "violated", tuple(
-            Violation(cid, severity, Iri(f"urn:ex:{cid}/{i}"), Iri("urn:ex:p"), None, message)
-            for i in range(4_000)
-        ), count=4_000)
-        for cid, severity in (("T-1", Severity.ERROR), ("T-2", Severity.WARNING))
-    ]
+    # As validate --out writes it: 4,000 foci, each missing two properties,
+    # make 8,000 violations with 2,000-character messages.
+    b = GraphBuilder()
+    for i in range(4_000):
+        b.add(Iri(f"urn:ex:n{i}"), RDF_TYPE, Iri("urn:ex:C"))
+    g = b.freeze()
+    catalog = Catalog({}, tuple(
+        Constraint(
+            id=cid,
+            vocabulary="user-defined",
+            family=FAMILIES["EXISTENTIAL-QUANTIFICATION"],
+            params={"class": Iri("urn:ex:C"), "property": Iri(f"urn:ex:{p}")},
+            severity=severity,
+            status=IMPLEMENTED,
+            message="m" * 2_000,
+            expressivity=frozenset(("sparql",)),
+        )
+        for cid, p, severity in (("T-1", "p", Severity.ERROR), ("T-2", "q", Severity.WARNING))
+    ))
     path = tmp_path / "violations.nt"
     tracemalloc.start()
     try:
-        write_atomic(path, violation_chunks(outcomes))
+        report = ViolationReport(g)
+        outcomes = check(g, catalog, limit=None, records=report)
+        write_atomic(path, report.chunks())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert sum(o.count for o in outcomes) == 8_000
     size = path.stat().st_size
     assert size >= 16_000_000
     assert peak < size / 2, (peak, size)

@@ -1,6 +1,8 @@
 """Term model: construction rules, equality, canonical text."""
 import pytest
 
+from oracles import triple_text
+
 from rdfval.terms import (
     BlankNode,
     Iri,
@@ -11,7 +13,6 @@ from rdfval.terms import (
     XSD_INTEGER,
     XSD_STRING,
     term_text,
-    triple_text,
 )
 
 
