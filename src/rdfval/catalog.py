@@ -710,6 +710,7 @@ def classify(catalog: Catalog) -> ClassificationSummary:
 
 _EMPTY_CLASS_IDIOMS = ("[^\\s\\S]", "[^\\d\\D]", "[^\\w\\W]")
 _ESCAPE_OR_CLASS = re.compile(r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]?", re.S)
+_INNERMOST_GROUP = re.compile(r"\(([^()]*)\)")
 
 
 @dataclass(frozen=True)
@@ -730,13 +731,34 @@ def _regex_never_matches(pattern: str) -> bool:
         return False
     plain, previous = _ESCAPE_OR_CLASS.sub("%", pattern), None
     while plain != previous:
-        plain, previous = re.sub(r"\([^()]*\)", "%", plain), plain
+        plain, previous = _INNERMOST_GROUP.sub("%", plain), plain
     return "|" not in plain and re.search(r"\$[^\n.^$*+?{|()%](?![?*{])", plain) is not None
 
 
+def _fold_group(m: re.Match) -> str:
+    return "#" if re.search(r"[*+#]|\{\d*,\}", m[1]) else "%"
+
+
+def _nested_quantifier(pattern: str) -> bool:
+    """Whether a group holding an unbounded quantifier is itself repeated
+    without bound, as in ``(a+)+`` or ``(?:a*b)*``: the shape on which a
+    backtracking matcher can take exponential time."""
+    # Escapes and classes become "%", and so does every character that is
+    # no group, quantifier or count; innermost groups then fold, to "#"
+    # when they hold an unbounded quantifier or such a group, else to "%".
+    plain = re.sub(r"[^()*+{},\d]", "%", _ESCAPE_OR_CLASS.sub("%", pattern))
+    previous = None
+    while plain != previous:
+        if re.search(r"#(?:[*+]|\{\d*,\})", plain):
+            return True
+        plain, previous = _INNERMOST_GROUP.sub(_fold_group, plain), plain
+    return False
+
+
 def lint_catalog(catalog: Catalog) -> list[LintFinding]:
-    """Advisory findings: unsupported datatypes, regexes that cannot match,
-    severity overrides below a family minimum, not-implemented rows."""
+    """Advisory findings: unsupported datatypes, regexes that cannot match
+    or that nest unbounded quantifiers, severity overrides below a family
+    minimum, not-implemented rows."""
     findings: list[LintFinding] = []
     for c in catalog.constraints:
         if c.status == NOT_IMPLEMENTED:
@@ -761,6 +783,15 @@ def lint_catalog(catalog: Catalog) -> list[LintFinding]:
                         "never-matching-regex",
                         c.id,
                         f"pattern {value!r} cannot match any input",
+                    )
+                )
+            if s.kind == "regex" and isinstance(value, str) and _nested_quantifier(value):
+                findings.append(
+                    LintFinding(
+                        "nested-quantifier-regex",
+                        c.id,
+                        f"pattern {value!r} repeats a repeated group, which can take "
+                        "exponential time on a single value and overrun --budget",
                     )
                 )
         if c.family.min_severity is not None and c.severity < c.family.min_severity:

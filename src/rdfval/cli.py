@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -117,6 +118,10 @@ def _read_graphs(paths: tuple[str, ...]) -> Graph:
 @click.version_option(version=__version__)
 def main() -> None:
     """Validate RDF data sets against constraint catalogs."""
+    # Whatever import made lives as long as the command: frozen, it is left
+    # out of every later garbage collection.  Once per process.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
 
 
 @main.command()

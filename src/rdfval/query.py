@@ -2,10 +2,11 @@
 
 The pattern language is deliberately small: triple patterns joined by And,
 filters, a depth-bounded cycle probe, and two correlated sub-patterns,
-evaluated once per incoming row with that row's bindings: NotExists keeps
-the row when its pattern has no solution (negation as failure), and Count
-binds a variable to the number of solutions (a correlated count, after
-Kim, "On Optimizing an SQL-like Nested Query", ACM TODS 7(3), 1982).  A
+which mean what a run per incoming row with that row's bindings would
+give (below: when less is run).  NotExists keeps the row when its
+pattern has no solution (negation as failure), and Count binds a
+variable to the number of solutions (a correlated count, after Kim, "On
+Optimizing an SQL-like Nested Query", ACM TODS 7(3), 1982).  A
 sub-pattern's variables that the enclosing pattern does not bind stay
 inside it.  A filter is a test: a comparison of two terms (Compare, each
 side a variable or a constant), or a kind, datatype, language or regex
@@ -32,6 +33,27 @@ a caller that stops early leaves the rest of that loop unrun.
 Comparisons read a literal memo that lives for one run_plan call, so
 each literal is parsed once per run.
 
+Three rules decide once per run what a row-at-a-time run would decide
+again for each row.  A NotExists whose pattern is one triple pattern
+with no repeated variable, reading the enclosing row at one position and
+holding a constant at another, is the decorrelation case of Kim's paper:
+its rows are probed through the index only until the probes number the
+ids at that position of the pattern's matches with the position left
+open; those ids then become a set, and every later row is one membership
+test, so the work stays within twice that of the cheaper strategy.  A
+filter whose test reads one variable keeps its verdict per value of that
+variable, a type error as a rejection.  A cycle probe splits its
+property's graph into strongly connected components once (Tarjan, SIAM
+J. Comput. 1(2), 1972): a single node is on a cycle only by a self-loop,
+a component with as many edges as nodes is one simple cycle that each
+of its nodes closes in exactly its size, and any other component is
+searched breadth-first from each of its nodes over its own edges.
+
+A run counts its work in ticks and reads the clock once per 1024 of
+them: one per index match, one per node and per edge a cycle probe
+visits, and one per id put in a NotExists set.  Work a rule saves (a
+membership test, a kept verdict) costs no tick.
+
 Comparison semantics (documented here because filters depend on them):
 numeric literals compare by value with integer → decimal → double
 promotion; date, dateTime, and gYear literals compare by temporal value
@@ -49,6 +71,7 @@ Evaluation is read-only; any number of evaluations may share one graph.
 from __future__ import annotations
 
 import re
+import sys
 import time
 from dataclasses import dataclass
 from operator import eq, ge, gt, itemgetter, le, lt, ne
@@ -513,18 +536,20 @@ def _push(rows, nxt):
 
 
 def _ticker(deadline: float | None):
-    """Called once per loop iteration over index matches or cycle steps;
-    every 1024th call checks the deadline.  Filters and nested patterns run
+    """Counts work done: called once per loop iteration over index matches
+    or cycle steps, or with `n` for `n` units done in bulk; the deadline is
+    checked once per 1024 units counted.  Filters and nested patterns run
     inside such an iteration, or once for a pipeline with no loop, so they
     need no tick of their own."""
     if deadline is None:
-        return lambda: None
+        return lambda n=1: None
     count = 0
 
-    def tick() -> None:
+    def tick(n: int = 1) -> None:
         nonlocal count
-        count += 1
-        if count & 1023 == 1 and time.monotonic() > deadline:
+        count += n
+        # True when the count passed 1 modulo 1024, the first call included.
+        if (count - 1) & 1023 < n and time.monotonic() > deadline:
             raise BudgetExceeded
 
     return tick
@@ -573,6 +598,129 @@ def _compare(apply, a, b) -> bool:
     if a.__class__ is tuple or b.__class__ is tuple or not (apply is eq or apply is ne):
         raise _ExprTypeError
     return apply(a, b)
+
+
+def _components(succ: dict[int, list[int]], tick) -> Iterator[list[int]]:
+    """The strongly connected components of the graph of `succ`, which
+    maps each node with out-edges to its successors: Tarjan's algorithm
+    (SIAM J. Comput. 1(2), 1972), iterative, with one rank per node in
+    place of an index, a low link and an on-stack flag, after Pearce (Inf.
+    Process. Lett. 116(1), 2016).  One tick per node and per edge."""
+    rank: dict[int, int] = {}
+    # Visited nodes whose component is still open, and the rank that the
+    # nodes of each finished component take, above every open rank.
+    pending: list[int] = []
+    finished = sys.maxsize
+    # The depth-first path as parallel lists, which hold less than a tuple
+    # per node: each node, its edges not yet followed, its first rank, and
+    # the length of `pending` when it was reached.
+    path: list[int] = []
+    left: list[Iterator[int]] = []
+    firsts: list[int] = []
+    ats: list[int] = []
+
+    def reach(node: int) -> None:
+        edges = succ.get(node, ())
+        tick(1 + len(edges))
+        rank[node] = len(rank)
+        path.append(node)
+        left.append(iter(edges))
+        firsts.append(rank[node])
+        ats.append(len(pending))
+
+    for root in succ:
+        if root in rank:
+            continue
+        reach(root)
+        while path:
+            node = path[-1]
+            for w in left[-1]:
+                r = rank.get(w)
+                if r is None:
+                    reach(w)
+                    break
+                if r < rank[node]:
+                    rank[node] = r
+            else:
+                path.pop()
+                left.pop()
+                first, at = firsts.pop(), ats.pop()
+                low = rank[node]
+                if low == first:
+                    # No edge below leaves for an open node ranked before
+                    # this one: it and the nodes left pending since it was
+                    # reached are a component.
+                    component = pending[at:]
+                    del pending[at:]
+                    component.append(node)
+                    rank.update(dict.fromkeys(component, finished))
+                    finished -= 1
+                    yield component
+                else:
+                    pending.append(node)
+                    if low < rank[path[-1]]:
+                        rank[path[-1]] = low
+
+
+def _closes(start: int, succ: dict[int, list[int]], depth: int, tick) -> bool:
+    """Whether a walk of at most `depth` edges of `succ` leads from `start`
+    back to it, by breadth-first search; one tick per edge visited."""
+    frontier: list[int] = [start]
+    visited: set[int] = set()
+    for _ in range(depth):
+        nxt: list[int] = []
+        for node in frontier:
+            for o in succ[node]:
+                tick()
+                if o == start:
+                    return True
+                if o not in visited:
+                    visited.add(o)
+                    nxt.append(o)
+        if not nxt:
+            return False
+        frontier = nxt
+    return False
+
+
+def _cyclic(subjects, objects, depth: int, tick) -> list[int]:
+    """The nodes of the edges `zip(subjects, objects)` that reach
+    themselves within `depth` edges, in ascending order.
+
+    A cycle stays inside one strongly connected component, so each is
+    decided alone: a single node without a self-loop is never on a cycle;
+    one with as many internal edges as nodes is one simple cycle, every
+    node of which closes it in exactly its size; any other keeps a
+    depth-bounded breadth-first search from each node over its own edges,
+    with one tick per node and per edge visited."""
+    succ: dict[int, list[int]] = {}
+    for s, o in zip(subjects, objects):
+        succ.setdefault(s, []).append(o)
+    found: list[int] = []
+    for component in _components(succ, tick):
+        if len(component) == 1:
+            (node,) = component
+            if depth > 0 and node in succ.get(node, ()):
+                found.append(node)
+            continue
+        # A component of several nodes has at least one internal edge per
+        # node, so when its nodes have no more out-edges than that, every
+        # one of them is internal and none needs filtering.
+        size, edges = len(component), sum(map(len, map(succ.__getitem__, component)))
+        if edges > size:
+            tick(edges)
+            members = set(component)
+            inner = {n: [o for o in succ[n] if o in members] for n in component}
+            if sum(map(len, inner.values())) > size:
+                for start in component:
+                    tick()
+                    if _closes(start, inner, depth, tick):
+                        found.append(start)
+                continue
+        if size <= depth:
+            found += component
+    found.sort()
+    return found
 
 
 class _Compiler:
@@ -738,56 +886,79 @@ class _Compiler:
     def cycle_rows(self, step: CycleProbe):
         """A generator function that yields the row once per subject of the
         property that reaches itself within the depth, bound to the step's
-        variable."""
+        variable, in ascending id order.  Those subjects are found on the
+        first call, by strongly connected components, and kept."""
         if self.absent(step):
             return lambda row: ()
         pid = self.row[self.slots[step.property]]
         slot, depth, values, tick = self.slots[step.variable], step.max_depth, self.g.values, self.tick
+        found: list[int] | None = None
 
         def rows(row: list):
-            succ: dict[int, list[int]] = {}
-            for s, o in zip(values(None, pid, None, 0), values(None, pid, None, 2)):
-                succ.setdefault(s, []).append(o)
-            for start in sorted(succ):
-                tick()
-                frontier = [start]
-                visited: set[int] = set()
-                found = False
-                for _ in range(depth):
-                    nxt: list[int] = []
-                    for node in frontier:
-                        for o in succ.get(node, ()):
-                            tick()
-                            if o == start:
-                                found = True
-                                break
-                            if o not in visited:
-                                visited.add(o)
-                                nxt.append(o)
-                        if found:
-                            break
-                    if found or not nxt:
-                        break
-                    frontier = nxt
-                if found:
-                    row[slot] = start
-                    yield row
+            nonlocal found
+            if found is None:
+                found = _cyclic(values(None, pid, None, 0), values(None, pid, None, 2), depth, tick)
+            for start in found:
+                row[slot] = start
+                yield row
 
         return rows
+
+    def correlated_run(self, steps: tuple[Step, ...]):
+        """For a NotExists body of one scan with no repeated variable, whose
+        key reads a slot of the enclosing scope at one position and a
+        constant at one other at least: that slot, and the ids at that
+        position of the scan's run with the position left open.  The body
+        matches a row exactly when the slot's value is among those ids.
+        None for any other body."""
+        if len(steps) != 1 or not isinstance(steps[0], _Scan) or steps[0].same or self.absent(steps[0]):
+            return None
+        key = steps[0].key
+        variables = {s for atom, s in self.slots.items() if isinstance(atom, Variable)}
+        read = [pos for pos, s in enumerate(key) if s in variables]
+        if len(read) != 1 or key.count(_OPEN) == 2:
+            return None
+        (pos,) = read
+        ids = [self.row[s] for s in key]
+        ids[pos] = None
+        return key[pos], self.g.values(*ids, pos)
 
     def nested(self, step: _Nested, nxt):
         """The chain of a nested pattern's steps, run on each row: a
         NotExists stops it at the first match and passes the row on when
         there is none; a Count runs it to the end, tallying the matches, and
-        passes the row on with the tally in `into`."""
+        passes the row on with the tally in `into`.
+
+        A NotExists body with a correlated run (see `correlated_run`) is
+        probed per row until the probes number the ids of the run; the
+        ids, charged one tick each, then become a set that answers every
+        later row by one membership test.  That bounds the work at twice
+        the cheaper of probing every row and building the set first."""
         into = step.into
         if into is None:
             inner = self.steps(step.steps, _stop)
+            correlated = self.correlated_run(step.steps)
+            if correlated is None:
 
-            def anti_join(row: list) -> bool:
-                return False if inner(row) else nxt(row)
+                def anti_join(row: list) -> bool:
+                    return False if inner(row) else nxt(row)
 
-            return anti_join
+                return anti_join
+            (slot, run), tick = correlated, self.tick
+            probes = len(run)
+            ids: set[int] | None = None
+
+            def anti_join_ids(row: list) -> bool:
+                nonlocal probes, ids
+                if ids is None:
+                    if probes:
+                        probes -= 1
+                        return False if inner(row) else nxt(row)
+                    tick(len(run))
+                    ids = set(run)
+                return False if row[slot] in ids else nxt(row)
+
+            return anti_join_ids
         n = 0
 
         def tally(row: list) -> bool:
@@ -811,17 +982,38 @@ class _Compiler:
         return count
 
     def filter(self, e: Expr, nxt):
+        """A test's filter.  The verdict of a test that reads one slot is
+        kept per value of that slot, a type error as a rejection, so it is
+        decided once per distinct value in the run."""
         test = self.flag(e)
+        used = expr_vars(e)
+        if len(used) != 1:
 
-        def filter(row: list) -> bool:
-            try:
-                if not test(row):
+            def filter(row: list) -> bool:
+                try:
+                    if not test(row):
+                        return False
+                except _ExprTypeError:
                     return False
-            except _ExprTypeError:
-                return False
-            return nxt(row)
+                return nxt(row)
 
-        return filter
+            return filter
+        s = self.slots[used.pop()]
+        verdicts: dict = {}
+        verdict = verdicts.get
+
+        def filter_by_value(row: list) -> bool:
+            value = row[s]
+            passed = verdict(value)
+            if passed is None:
+                try:
+                    passed = test(row)
+                except _ExprTypeError:
+                    passed = False
+                verdicts[value] = passed
+            return nxt(row) if passed else False
+
+        return filter_by_value
 
     def term(self, variable: Variable):
         """`row -> Term` for a variable."""

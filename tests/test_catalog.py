@@ -315,3 +315,22 @@ def test_lint_accepts_reasonable_regexes():
             )
         )
         assert lint_catalog(cat) == [], pattern
+
+
+NESTED_QUANTIFIERS = ["(a+)+", "(a*)*", r"^(\d+)*$", r"(?:[a-z]+\s)*", "((a+)b)*", "(a+){2,}", "(a|b+)*?"]
+# Repetitions that nest no unbounded quantifier in a repeated group.
+FLAT_REPETITIONS = ["(ab)+", "[a+]+", r"\(a+\)+", "(a+)?", "(a+){2}", "^(a+)$", "(a+)b(c)*", "^#+$"]
+
+
+def test_lint_flags_a_repeated_group_with_an_unbounded_quantifier():
+    for pattern in NESTED_QUANTIFIERS + FLAT_REPETITIONS:
+        re.compile(pattern)
+        cat = load_one(
+            entry(
+                cid="C-1",
+                family="LITERAL-PATTERN-MATCHING",
+                params={"property": "ex:p", "pattern": pattern},
+            )
+        )
+        kinds = [(f.kind, f.constraint_id) for f in lint_catalog(cat)]
+        assert kinds == ([("nested-quantifier-regex", "C-1")] if pattern in NESTED_QUANTIFIERS else []), pattern

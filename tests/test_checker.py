@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     CLASSES,
     FAMILY_ORACLES,
+    GraphFacts,
     PROPS,
     ntriples_of,
     random_family_params,
@@ -48,6 +49,7 @@ from rdfval.checker import (
 from rdfval.graph import GraphBuilder
 from rdfval.ntriples import serialize_ntriples
 from rdfval.packs import FIXTURES, load_fixture, load_pack
+from rdfval.query import run_plan
 from rdfval.cli import _read_graphs
 from rdfval.terms import BlankNode, Iri, Literal, RDF_TYPE, XSD_INTEGER
 
@@ -689,3 +691,39 @@ def test_violations_ntriples_of_nothing_is_empty():
     c = constraint("EXISTENTIAL-QUANTIFICATION", {"class": iri("C"), "property": iri("p")})
     outcomes, got = rendered_from_ids(g, Catalog({}, (c,)))
     assert [o.status for o in outcomes] == [OK] and got == b""
+
+
+def cycle_graph(rng, p):
+    """Simple cycles, trees, self-loops and cycles with chords over `p`, a
+    few edges between those parts, and edges of another property."""
+    fresh = itertools.count()
+    parts = []
+    triples = set()
+    for _ in range(rng.randint(1, 6)):
+        shape = rng.choice(("cycle", "tree", "self-loop", "chords"))
+        nodes = [iri(f"n{next(fresh)}") for _ in range(1 if shape == "self-loop" else rng.randint(2, 14))]
+        parts.append(nodes)
+        if shape == "tree":
+            triples.update((nodes[rng.randrange(i)], p, n) for i, n in enumerate(nodes[1:], 1))
+            continue
+        triples.update(zip(nodes, itertools.repeat(p), nodes[1:] + nodes[:1]))
+        if shape == "chords":
+            triples.update((rng.choice(nodes), p, rng.choice(nodes)) for _ in range(rng.randint(1, 4)))
+    for _ in range(rng.randint(0, 3)):
+        triples.add((rng.choice(rng.choice(parts)), p, rng.choice(rng.choice(parts))))
+        triples.add((rng.choice(rng.choice(parts)), iri("q"), rng.choice(rng.choice(parts))))
+    return graph(*triples)
+
+
+def test_acyclicity_agrees_with_the_oracle_on_cycles_trees_and_chords():
+    p = iri("p")
+    for case in range(300):
+        rng = random.Random(60_000 + case)
+        g = cycle_graph(rng, p)
+        params = {"property": p, "max-depth": rng.choice((1, 2, 3, 5, 8, 14, 20))}
+        c = constraint("STRUCTURE-ACYCLICITY", params)
+        outcome = run_one(g, c, limit=None, budget=None)
+        assert keys(outcome) == FAMILY_ORACLES["STRUCTURE-ACYCLICITY"](GraphFacts(g), params), (case, params)
+        # The engine yields the foci in ascending id order.
+        found = [focus for focus, *_ in run_plan(g, compile_constraint(c))]
+        assert found == sorted(found), case

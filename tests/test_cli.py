@@ -528,6 +528,24 @@ def test_python_dash_m_runs_the_command(module, tmp_path):
     assert result.stderr.startswith("Usage: rdfval validate ") and str(missing) in result.stderr
 
 
+def test_a_command_freezes_what_import_made_once_per_process():
+    src = str(Path(rdfval.checker.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import gc, json\n"
+        "from rdfval.cli import main\n"
+        "counts = [gc.get_freeze_count()]\n"
+        "for _ in range(2):\n"
+        "    main(['packs'], standalone_mode=False)\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(json.dumps(counts))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    before, first, second = json.loads(result.stdout.splitlines()[-1])
+    assert before == 0 and first > 0 and second == first
+
+
 def test_color_toggle(tmp_path):
     cat = write_catalog(tmp_path / "cat.json", entry("V-1"))
     data = write_nt(tmp_path / "data.nt", VIOLATING)

@@ -1,8 +1,11 @@
 """Query kernel: planning errors, join semantics, filters, counts, budgets."""
 import itertools
+import random
 import time
 
 import pytest
+
+from oracles import LITERALS, naive_evaluate, random_filter_expr, rows_equal
 
 import rdfval.query
 from rdfval.graph import Graph, GraphBuilder
@@ -487,3 +490,100 @@ def test_filter_orders_datetimes_by_instant():
     assert {r[B].lexical for r in before} == {lex for lex, less in values.items() if less}
     not_before = rows(g, And([TriplePattern(A, iri("t"), B), Filter(Compare(">=", Var(B), cutoff))]))
     assert {r[B].lexical for r in not_before} == {lex for lex, less in values.items() if less is False}
+
+
+def typed_few_graph(rng):
+    """p and q edges among up to 80 nodes, of which at most six are typed
+    C: a NotExists on a small run meets many rows, and switches from
+    probes to the run's id set."""
+    nodes = [iri(f"n{i}") for i in range(rng.randint(5, 80))]
+    triples = {(node, RDF_TYPE, iri("C")) for node in rng.sample(nodes, min(len(nodes), rng.randint(0, 6)))}
+    for _ in range(rng.randint(10, 300)):
+        triples.add((rng.choice(nodes), rng.choice((iri("p"), iri("q"))), rng.choice(nodes)))
+    return graph(*triples)
+
+
+# Single-scan NotExists bodies under TP(?a, p, ?b), correlated at the
+# subject or the object, the other positions constants or open.
+SINGLE_SCAN_BODIES = [
+    TriplePattern(A, RDF_TYPE, iri("C")),
+    TriplePattern(B, RDF_TYPE, iri("C")),
+    TriplePattern(A, iri("q"), C),
+    TriplePattern(C, iri("q"), B),
+    TriplePattern(iri("n0"), iri("q"), B),
+    TriplePattern(B, iri("q"), iri("n1")),
+    TriplePattern(A, iri("absent"), C),
+    TriplePattern(iri("absent"), iri("q"), B),
+]
+
+
+def test_single_scan_not_exists_agrees_with_naive_enumeration():
+    for case in range(60):
+        rng = random.Random(40_000 + case)
+        g = typed_few_graph(rng)
+        for body in SINGLE_SCAN_BODIES:
+            pattern = And([TriplePattern(A, iri("p"), B), NotExists(body)])
+            assert rows_equal(rows(g, pattern), naive_evaluate(g, pattern)), (case, body)
+
+
+def test_a_correlated_not_exists_probes_its_run_length_then_tests_membership(monkeypatch):
+    n = 2000
+    g = graph(
+        *[(iri(f"s{i}"), iri("p"), iri("o")) for i in range(n)],
+        *[(iri(f"s{i}"), RDF_TYPE, iri("C")) for i in range(0, n, 400)],
+    )
+    p = plan(And([TriplePattern(A, iri("p"), B), NotExists(TriplePattern(A, RDF_TYPE, iri("C")))]))
+    calls = count_index_reads(monkeypatch)
+    assert len(list(run_plan(g, p))) == n - 5
+    # The run of the five typed subjects, the outer scan's two columns,
+    # and one probe for each of the first five rows; the set of the five
+    # ids answers the other 1,995.
+    assert next(calls) == 1 + 2 + 5
+
+
+def test_deadline_passing_while_the_id_set_is_charged_raises(monkeypatch):
+    n, typed = 1000, 600
+    g = graph(
+        *[(iri(f"s{i}"), iri("p"), iri("o")) for i in range(n)],
+        *[(iri(f"t{i}"), RDF_TYPE, iri("C")) for i in range(typed)],
+    )
+    p = And([TriplePattern(A, iri("p"), B), NotExists(TriplePattern(A, RDF_TYPE, iri("C")))])
+    assert len(rows(g, p)) == n
+    clock_passing_after(monkeypatch, 1)
+    # After the first tick, the outer scan ticks 1,000 times, short of the
+    # 1,025th tick at which the clock is read again; the 600 ticks that
+    # charge the set, after 600 probes, pass it.
+    with pytest.raises(BudgetExceeded):
+        list(run_plan(g, plan(p), deadline=10.0))
+
+
+def test_filters_over_repeated_values_agree_with_naive_enumeration():
+    for case in range(80):
+        rng = random.Random(50_000 + case)
+        values = [*rng.sample(LITERALS, 6), iri("n0"), iri("n1")]
+        g = graph(
+            *[(iri(f"s{i}"), iri("p"), rng.choice(values)) for i in range(rng.randint(1, 200))],
+            *[(iri(f"s{i}"), iri("q"), rng.choice(values)) for i in range(rng.randint(0, 60))],
+        )
+        one = And([TriplePattern(A, iri("p"), B), Filter(random_filter_expr(rng, [B], values))])
+        two = And(
+            [TriplePattern(A, iri("p"), B), TriplePattern(A, iri("q"), C), Filter(random_filter_expr(rng, [B, C], values))]
+        )
+        for pattern in (one, two):
+            assert rows_equal(rows(g, pattern), naive_evaluate(g, pattern)), (case, pattern)
+
+
+def test_a_one_variable_test_is_decided_once_per_distinct_value(monkeypatch):
+    g = graph(*[(iri(f"s{i}"), iri("q"), Literal(str(i % 3), XSD_INTEGER)) for i in range(600)])
+    calls = itertools.count()
+    is_valid = rdfval.query.is_valid_for_datatype
+
+    def counted(lexical, datatype):
+        next(calls)
+        return is_valid(lexical, datatype)
+
+    monkeypatch.setattr(rdfval.query, "is_valid_for_datatype", counted)
+    p = plan(And([TriplePattern(A, iri("q"), B), Filter(Not(IsValidForDatatype(B, XSD_BOOLEAN)))]))
+    # "0" and "1" are booleans, "2" is not.
+    assert len(list(run_plan(g, p))) == 200
+    assert next(calls) == 3
